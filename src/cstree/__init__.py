@@ -11,6 +11,7 @@ from .competition import (
     LambdaRecord,
     SweepResult,
     run_competition,
+    run_competitions,
     win_counts,
     with_test_costs,
 )
@@ -97,6 +98,7 @@ __all__ = [
     "reduction_ratio",
     "report_summary",
     "run_competition",
+    "run_competitions",
     "run_experiment",
     "serialize",
     "split_heuristic",

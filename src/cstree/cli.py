@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .competition import LambdaGrid, run_competition, with_test_costs
+from .competition import LambdaGrid, run_competitions
 from .costs import (
     CostDistributionSpec,
     generate_test_costs,
@@ -15,13 +15,14 @@ from .costs import (
     two_class_matrix,
 )
 from .data import load_csv, split_train_test
-from .evaluation import CostBreakdown, average_cost, reduction_ratio
+from .evaluation import CostBreakdown, average_cost
 from .experiment import (
     DEFAULT_MC,
+    PRUNE_FLAGS,
     ExperimentConfig,
-    TrialReportRow,
     report_summary,
     run_experiment,
+    trial_rows,
     trial_streams,
     write_rows_csv,
     write_summary_json,
@@ -126,21 +127,26 @@ def _cost_spec(args) -> CostDistributionSpec:
     )
 
 
-def _resolve_mc(args, num_classes, file_mc):
+def _flag_mc(args):
+    """The matrix given by --mc-file or --mc-01/--mc-10, or None."""
     if args.mc_file:
         _, mc = load_cost_file(args.mc_file)
         if mc is None:
             raise ValueError(f"{args.mc_file}: no mc_matrix key")
-    elif args.mc_01 is not None or args.mc_10 is not None:
+        return mc
+    if args.mc_01 is not None or args.mc_10 is not None:
         if args.mc_01 is None or args.mc_10 is None:
             raise ValueError("--mc-01 and --mc-10 must be given together")
-        mc = two_class_matrix(args.mc_01, args.mc_10)
-    elif file_mc is not None:
-        mc = file_mc
-    elif num_classes == 2:
+        return two_class_matrix(args.mc_01, args.mc_10)
+    return None
+
+
+def _resolve_mc(args, num_classes, file_mc):
+    mc = _flag_mc(args) or file_mc
+    if mc is None:
+        if num_classes != 2:
+            raise ValueError("a misclassification matrix is required beyond two classes")
         mc = DEFAULT_MC
-    else:
-        raise ValueError("a misclassification matrix is required beyond two classes")
     if mc.num_classes != num_classes:
         raise ValueError("matrix classes and dataset classes differ")
     return mc
@@ -295,32 +301,6 @@ def cmd_prune(args) -> None:
         )
 
 
-def _sweep_rows(sweeps, grid):
-    rows = []
-    for lam in grid.values():
-        for flag in (False, True):
-            if flag not in sweeps:
-                continue
-            record = sweeps[flag].record_for(lam)
-            saved = None
-            if flag and False in sweeps:
-                before = sweeps[False].record_for(lam).train_cost.average
-                after = record.train_cost.average
-                saved = reduction_ratio(before, after) if before > 0 else 0.0
-            rows.append(
-                TrialReportRow(
-                    trial=0,
-                    lam=lam,
-                    pruned=flag,
-                    train_average=record.train_cost.average,
-                    test_average=record.test_cost.average,
-                    tree_nodes=record.tree.node_count(),
-                    reduction=saved,
-                )
-            )
-    return rows
-
-
 def cmd_sweep(args) -> None:
     import numpy as np
 
@@ -334,30 +314,25 @@ def cmd_sweep(args) -> None:
     train, test = split_train_test(
         dataset, args.train_fraction, np.random.default_rng([args.seed, 0, 1])
     )
-    mode = _prune_mode(args)
-    flags = {"none": [False], "post": [True], "both": [False, True]}[mode]
-    sweeps = {}
-    for flag in flags:
-        sweep = run_competition(
-            train, tc, mc, grid, prune=flag, min_leaf_size=args.min_leaf,
-            prune_on_tie=args.prune_on_tie,
-        )
-        sweeps[flag] = with_test_costs(sweep, test, tc, mc)
-    rows = _sweep_rows(sweeps, grid)
+    sweeps = run_competitions(
+        train, tc, mc, grid, PRUNE_FLAGS[_prune_mode(args)], args.min_leaf,
+        args.prune_on_tie,
+    )
+    rows = trial_rows(0, sweeps, test, tc, mc)
     for line in _mapping_lines(dataset):
         print(line)
-    for flag in flags:
-        sweep = sweeps[flag]
+    for flag, sweep in sweeps.items():
         label = "pruned" if flag else "unpruned"
-        record = sweep.record_for(sweep.winner_lambda)
+        row = next(r for r in rows if r.pruned == flag and r.lam == sweep.winner_lambda)
         print(
             f"winner ({label}): lambda {sweep.winner_lambda} "
-            f"train {record.train_cost.average} test {record.test_cost.average}"
+            f"train {row.train_average} test {row.test_average}"
         )
     summary = {"class_mapping": _mapping_json(dataset), "seed": args.seed}
     summary.update(report_summary(rows))
     summary["winners"] = {
-        ("pruned" if flag else "unpruned"): sweeps[flag].winner_lambda for flag in flags
+        ("pruned" if flag else "unpruned"): sweep.winner_lambda
+        for flag, sweep in sweeps.items()
     }
     if args.out_csv:
         write_rows_csv(rows, args.out_csv)
@@ -369,10 +344,8 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_experiment(args) -> None:
-    mc = None
-    if args.mc_file or args.mc_01 is not None or args.mc_10 is not None:
-        probe = load_csv(args.data, args.label_column)
-        mc = _resolve_mc(args, probe.num_classes, None)
+    # run_experiment checks the matrix against the dataset's classes
+    mc = _flag_mc(args)
     config = ExperimentConfig(
         data_path=args.data,
         label_column=args.label_column,

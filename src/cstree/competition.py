@@ -21,6 +21,7 @@ __all__ = [
     "LambdaRecord",
     "SweepResult",
     "run_competition",
+    "run_competitions",
     "with_test_costs",
     "win_counts",
 ]
@@ -78,6 +79,41 @@ class SweepResult:
         raise ValueError(f"no record for exponent {lam}")
 
 
+def run_competitions(
+    train: InstanceSubset,
+    tc: TestCostVector,
+    mc: MisclassificationMatrix,
+    grid: LambdaGrid | None = None,
+    prune_flags: tuple[bool, ...] = (True,),
+    min_leaf_size: int = DEFAULT_MIN_LEAF,
+    prune_on_tie: bool = False,
+) -> dict[bool, SweepResult]:
+    """One competition per prune flag, keyed by the flag.
+
+    Each exponent's tree is grown once, on a split cache shared across the
+    grid, and the pruned competition prunes that same tree."""
+    grid = grid or LambdaGrid()
+    cache: dict = {}
+    records = {flag: [] for flag in prune_flags}
+    for lam in grid.values():
+        grown = build_tree(train, tc, lam, min_leaf_size, cache)
+        for flag in prune_flags:
+            tree = post_prune(grown, tc, mc, prune_on_tie)[0] if flag else grown
+            cost = average_cost(tree, train, tc, mc)
+            records[flag].append(LambdaRecord(lam=lam, tree=tree, train_cost=cost))
+    results = {}
+    for flag, flag_records in records.items():
+        winner = flag_records[0]
+        for record in flag_records:
+            # <= so an exact tie moves the win to the larger exponent
+            if record.train_cost.average <= winner.train_cost.average:
+                winner = record
+        results[flag] = SweepResult(
+            records=tuple(flag_records), winner_lambda=winner.lam, winner_tree=winner.tree
+        )
+    return results
+
+
 def run_competition(
     train: InstanceSubset,
     tc: TestCostVector,
@@ -89,22 +125,9 @@ def run_competition(
 ) -> SweepResult:
     """Grow (and optionally prune) one tree per grid exponent and pick the
     winner by training average cost. Deterministic given its inputs."""
-    grid = grid or LambdaGrid()
-    records = []
-    winner: LambdaRecord | None = None
-    for lam in grid.values():
-        tree = build_tree(train, tc, lam, min_leaf_size)
-        if prune:
-            tree, _ = post_prune(tree, tc, mc, prune_on_tie)
-        cost = average_cost(tree, train, tc, mc)
-        record = LambdaRecord(lam=lam, tree=tree, train_cost=cost)
-        records.append(record)
-        # <= so an exact tie moves the win to the larger exponent
-        if winner is None or record.train_cost.average <= winner.train_cost.average:
-            winner = record
-    return SweepResult(
-        records=tuple(records), winner_lambda=winner.lam, winner_tree=winner.tree
-    )
+    return run_competitions(
+        train, tc, mc, grid, (prune,), min_leaf_size, prune_on_tie
+    )[prune]
 
 
 def with_test_costs(

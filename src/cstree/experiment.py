@@ -17,24 +17,26 @@ from pathlib import Path
 
 import numpy as np
 
-from .competition import LambdaGrid
+from .competition import LambdaGrid, run_competitions
 from .costs import (
     CostDistributionSpec,
     MisclassificationMatrix,
+    TestCostVector,
     generate_test_costs,
     load_cost_file,
     two_class_matrix,
 )
-from .data import load_csv, split_train_test
+from .data import InstanceSubset, load_csv, split_train_test
 from .evaluation import average_cost, average_reduction_ratio, reduction_ratio
-from .pruning import PruneTraceEntry, post_prune
-from .tree import DEFAULT_MIN_LEAF, build_tree
+from .pruning import PruneTraceEntry
+from .tree import DEFAULT_MIN_LEAF
 
 __all__ = [
     "ExperimentConfig",
     "TrialReportRow",
     "trial_streams",
     "run_experiment",
+    "trial_rows",
     "report_summary",
     "write_rows_csv",
     "write_summary_json",
@@ -42,7 +44,9 @@ __all__ = [
     "DEFAULT_MC",
 ]
 
-PRUNE_MODES = ("none", "post", "both")
+# prune mode -> the prune flags of the competitions it reports
+PRUNE_FLAGS = {"none": (False,), "post": (True,), "both": (False, True)}
+PRUNE_MODES = tuple(PRUNE_FLAGS)
 
 # Used for two-class data whenever no matrix is supplied explicitly.
 DEFAULT_MC = two_class_matrix(500.0, 50.0)
@@ -146,8 +150,6 @@ def run_experiment(config: ExperimentConfig):
     if fixed_tc is not None and len(fixed_tc) != dataset.num_attributes:
         raise ValueError("cost file length and attribute count differ")
 
-    report_unpruned = config.prune_mode in ("none", "both")
-    report_pruned = config.prune_mode in ("post", "both")
     rows: list[TrialReportRow] = []
     for trial in range(config.trials):
         costs_rng, split_rng = trial_streams(config.seed, trial)
@@ -156,41 +158,11 @@ def run_experiment(config: ExperimentConfig):
         else:
             tc = generate_test_costs(config.cost_spec, dataset.num_attributes, costs_rng)
         train, test = split_train_test(dataset, config.train_fraction, split_rng)
-        for lam in config.grid.values():
-            tree = build_tree(train, tc, lam, config.min_leaf_size)
-            before_train = average_cost(tree, train, tc, mc)
-            if report_unpruned:
-                rows.append(
-                    TrialReportRow(
-                        trial=trial,
-                        lam=lam,
-                        pruned=False,
-                        train_average=before_train.average,
-                        test_average=average_cost(tree, test, tc, mc).average,
-                        tree_nodes=tree.node_count(),
-                    )
-                )
-            if report_pruned:
-                pruned_tree, _ = post_prune(tree, tc, mc, config.prune_on_tie)
-                after_train = average_cost(pruned_tree, train, tc, mc)
-                saved = None
-                if config.prune_mode == "both":
-                    if before_train.average > 0:
-                        saved = reduction_ratio(before_train.average, after_train.average)
-                    else:
-                        # a tree that charges nothing has nothing to reduce
-                        saved = 0.0
-                rows.append(
-                    TrialReportRow(
-                        trial=trial,
-                        lam=lam,
-                        pruned=True,
-                        train_average=after_train.average,
-                        test_average=average_cost(pruned_tree, test, tc, mc).average,
-                        tree_nodes=pruned_tree.node_count(),
-                        reduction=saved,
-                    )
-                )
+        sweeps = run_competitions(
+            train, tc, mc, config.grid, PRUNE_FLAGS[config.prune_mode],
+            config.min_leaf_size, config.prune_on_tie,
+        )
+        rows += trial_rows(trial, sweeps, test, tc, mc)
     summary = {
         "trials": config.trials,
         "seed": config.seed,
@@ -201,6 +173,40 @@ def run_experiment(config: ExperimentConfig):
     }
     summary.update(report_summary(rows))
     return rows, summary
+
+
+def trial_rows(
+    trial: int,
+    sweeps: dict,
+    test: InstanceSubset,
+    tc: TestCostVector,
+    mc: MisclassificationMatrix,
+) -> list[TrialReportRow]:
+    """Rows of one trial's competitions (run_competitions' result), by
+    exponent and then unpruned before pruned, with held-out costs. A pruned
+    row carries its reduction ratio when the unpruned competition ran too."""
+    rows = []
+    for records in zip(*(sweep.records for sweep in sweeps.values())):
+        by_flag = dict(zip(sweeps, records))
+        for flag, record in by_flag.items():
+            saved = None
+            if flag and False in by_flag:
+                before = by_flag[False].train_cost.average
+                after = record.train_cost.average
+                # a tree that charges nothing has nothing to reduce
+                saved = reduction_ratio(before, after) if before > 0 else 0.0
+            rows.append(
+                TrialReportRow(
+                    trial=trial,
+                    lam=record.lam,
+                    pruned=flag,
+                    train_average=record.train_cost.average,
+                    test_average=average_cost(record.tree, test, tc, mc).average,
+                    tree_nodes=record.tree.node_count(),
+                    reduction=saved,
+                )
+            )
+    return rows
 
 
 def _lam_key(lam: float) -> str:

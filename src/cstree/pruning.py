@@ -155,14 +155,14 @@ def post_prune(
     marked: set[int] = set()
 
     def visit(node: TreeNode, path_attrs: frozenset[int], node_id: str):
+        """The node's keep totals, summed as _subtree_totals sums them."""
         if node.is_leaf:
-            return
+            return _subtree_totals(node, path_attrs, tc, mc)
         deeper = path_attrs | {node.attribute}
-        visit(node.left, deeper, node_id + ".left")
-        visit(node.right, deeper, node_id + ".right")
-        keep = CostBreakdown.from_totals(
-            *_subtree_totals(node, path_attrs, tc, mc), len(node.subset)
-        )
+        left_tc, left_mc = visit(node.left, deeper, node_id + ".left")
+        right_tc, right_mc = visit(node.right, deeper, node_id + ".right")
+        totals = (left_tc + right_tc, left_mc + right_mc)
+        keep = CostBreakdown.from_totals(*totals, len(node.subset))
         prune = CostBreakdown.from_totals(
             *_replacement_totals(node, path_attrs, tc, mc), len(node.subset)
         )
@@ -181,6 +181,7 @@ def post_prune(
         )
         if decision:
             marked.add(id(node))
+        return totals
 
     visit(tree.root, frozenset(), "root")
 

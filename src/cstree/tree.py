@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,18 +162,92 @@ def _scan_attribute(values, label_matrix, h_parent, min_leaf_size):
     return thresholds, gains, split_infos
 
 
+def _as_candidate(best: tuple[float, int, float, float] | None) -> SplitCandidate | None:
+    """SplitCandidate from a (score, attribute, threshold, ratio) tuple."""
+    if best is None:
+        return None
+    score, attribute, threshold, ratio = best
+    return SplitCandidate(attribute, threshold, ratio, score)
+
+
+def _ratio_scans(subset: InstanceSubset, hist, min_leaf_size: int):
+    """Yield (attribute, thresholds, ratios, admissible) for every attribute
+    with at least one admissible threshold; ratios are 0 where inadmissible."""
+    n = len(subset)
+    label_matrix = np.zeros((n, subset.dataset.num_classes), dtype=np.float64)
+    label_matrix[np.arange(n), subset.labels] = 1.0
+    h_parent = entropy(hist)
+    for a in range(subset.dataset.num_attributes):
+        scan = _scan_attribute(subset.values(a), label_matrix, h_parent, min_leaf_size)
+        if scan is None:
+            continue
+        thresholds, gains, split_infos = scan
+        admissible = (gains > 0.0) & (split_infos >= MIN_SPLIT_INFO)
+        if admissible.any():
+            ratios = np.divide(
+                gains, split_infos, out=np.zeros_like(gains), where=admissible
+            )
+            yield a, thresholds, ratios, admissible
+
+
+def _near_top(masked: np.ndarray) -> np.ndarray:
+    """Indices up to the first maximum i0 whose values lie within four
+    ulps of it.
+
+    Scaling by a weight w > 0 is monotone, so argmax(masked * w) is i0
+    unless rounding makes r_j * w == r_i0 * w for some j < i0. When that
+    product is a normal number, equal products need r_j within about two
+    ulps of r_i0, so these indices, in order, hold every possible winner.
+    """
+    i0 = int(np.argmax(masked))
+    return np.flatnonzero(masked[: i0 + 1] >= masked[i0] - 4 * np.spacing(masked[i0]))
+
+
+def _split_candidates(subset: InstanceSubset, hist, min_leaf_size: int):
+    """The exponent-free part of best_split: per attribute with an
+    admissible split, the (thresholds, ratios) that can win at any weight."""
+    candidates = []
+    for a, thresholds, ratios, admissible in _ratio_scans(subset, hist, min_leaf_size):
+        near = _near_top(np.where(admissible, ratios, -np.inf))
+        candidates.append((a, thresholds[near].tolist(), ratios[near].tolist()))
+    return tuple(candidates)
+
+
+def _pick_split(candidates, tc, lam, tested_on_path) -> SplitCandidate | None | bool:
+    """best_split's choice from _split_candidates, or False when a winning
+    product is not a normal number and only a full rescan is exact."""
+    best: tuple[float, int, float, float] | None = None
+    for a, thresholds, ratios in candidates:
+        weight = split_heuristic(1.0, tc.cost(a), lam, a in tested_on_path)
+        top = None
+        for threshold, ratio in zip(thresholds, ratios):
+            score = ratio * weight
+            if top is None or score > top[0]:
+                top = (score, a, threshold, ratio)
+        if not sys.float_info.min <= top[0] <= sys.float_info.max:
+            return False
+        if best is None or top[0] > best[0]:
+            best = top
+    return _as_candidate(best)
+
+
 def best_split(
     subset: InstanceSubset,
     tc: TestCostVector,
     lam: float,
     tested_on_path: frozenset[int] = frozenset(),
     min_leaf_size: int = DEFAULT_MIN_LEAF,
+    cache: dict | None = None,
 ) -> SplitCandidate | None:
     """Highest-scoring admissible (attribute, threshold) pair, or None.
 
     Admission requires positive gain, split information above the floor,
     and both children at least min_leaf_size. Ties break toward the lowest
     attribute index, then the lowest threshold.
+
+    ``cache`` maps a row set's index bytes to its _split_candidates, so
+    growth at other exponents or along other paths rescans nothing. One
+    cache serves one dataset and one min_leaf_size only.
     """
     if lam > 0:
         raise ValueError("the cost exponent must be zero or negative")
@@ -180,36 +255,25 @@ def best_split(
         raise ValueError("min_leaf_size must be at least 1")
     if len(tc) != subset.dataset.num_attributes:
         raise ValueError("one test cost per attribute is required")
-    n = len(subset)
     hist = subset.class_histogram()
-    if n < 2 * min_leaf_size or int((hist > 0).sum()) <= 1:
+    if len(subset) < 2 * min_leaf_size or int((hist > 0).sum()) <= 1:
         return None
-    h_parent = entropy(hist)
-    labels = subset.labels
-    label_matrix = np.zeros((n, subset.dataset.num_classes), dtype=np.float64)
-    label_matrix[np.arange(n), labels] = 1.0
+    if cache is not None:
+        key = subset.indices.tobytes()
+        candidates = cache.get(key)
+        if candidates is None:
+            candidates = cache[key] = _split_candidates(subset, hist, min_leaf_size)
+        picked = _pick_split(candidates, tc, lam, tested_on_path)
+        if picked is not False:
+            return picked
     best: tuple[float, int, float, float] | None = None
-    for a in range(subset.dataset.num_attributes):
-        scan = _scan_attribute(subset.values(a), label_matrix, h_parent, min_leaf_size)
-        if scan is None:
-            continue
-        thresholds, gains, split_infos = scan
-        admissible = (gains > 0.0) & (split_infos >= MIN_SPLIT_INFO)
-        if not admissible.any():
-            continue
-        ratios = np.divide(
-            gains, split_infos, out=np.zeros_like(gains), where=admissible
-        )
+    for a, thresholds, ratios, admissible in _ratio_scans(subset, hist, min_leaf_size):
         weight = split_heuristic(1.0, tc.cost(a), lam, a in tested_on_path)
         scores = np.where(admissible, ratios * weight, -np.inf)
         i = int(np.argmax(scores))
         if best is None or scores[i] > best[0]:
             best = (float(scores[i]), a, float(thresholds[i]), float(ratios[i]))
-    if best is None:
-        return None
-    return SplitCandidate(
-        attribute=best[1], threshold=best[2], gain_ratio=best[3], heuristic_value=best[0]
-    )
+    return _as_candidate(best)
 
 
 @dataclass(eq=False)
@@ -269,10 +333,10 @@ def _leaf_from(subset: InstanceSubset) -> TreeNode:
     )
 
 
-def _grow(subset, tc, lam, tested_on_path, min_leaf_size) -> TreeNode:
+def _grow(subset, tc, lam, tested_on_path, min_leaf_size, cache) -> TreeNode:
     if subset.is_pure() or len(subset) < 2 * min_leaf_size:
         return _leaf_from(subset)
-    candidate = best_split(subset, tc, lam, tested_on_path, min_leaf_size)
+    candidate = best_split(subset, tc, lam, tested_on_path, min_leaf_size, cache)
     if candidate is None:
         return _leaf_from(subset)
     left, right = subset.partition(candidate.attribute, candidate.threshold)
@@ -282,8 +346,8 @@ def _grow(subset, tc, lam, tested_on_path, min_leaf_size) -> TreeNode:
         subset=subset,
         attribute=candidate.attribute,
         threshold=candidate.threshold,
-        left=_grow(left, tc, lam, deeper, min_leaf_size),
-        right=_grow(right, tc, lam, deeper, min_leaf_size),
+        left=_grow(left, tc, lam, deeper, min_leaf_size, cache),
+        right=_grow(right, tc, lam, deeper, min_leaf_size, cache),
     )
 
 
@@ -292,12 +356,15 @@ def build_tree(
     tc: TestCostVector,
     lam: float,
     min_leaf_size: int = DEFAULT_MIN_LEAF,
+    cache: dict | None = None,
 ) -> DecisionTree:
     """Grow a tree on the training rows with exponent ``lam`` <= 0.
 
     Growth stops at pure subsets, at subsets too small to split into two
     children of min_leaf_size, and where no candidate has positive gain.
-    Attributes may be re-tested deeper down with new thresholds.
+    Attributes may be re-tested deeper down with new thresholds. Trees
+    grown on the same rows and min_leaf_size at several exponents can
+    share one ``cache`` dict (see best_split); the trees are the same.
     """
     if len(train) == 0:
         raise ValueError("cannot grow a tree from an empty training set")
@@ -305,7 +372,7 @@ def build_tree(
         raise ValueError("the cost exponent must be zero or negative")
     if len(tc) != train.dataset.num_attributes:
         raise ValueError("one test cost per attribute is required")
-    root = _grow(train, tc, float(lam), frozenset(), min_leaf_size)
+    root = _grow(train, tc, float(lam), frozenset(), min_leaf_size, cache)
     return DecisionTree(root=root, lambda_used=float(lam), tc_used=tc)
 
 
@@ -364,7 +431,16 @@ def serialize(tree: DecisionTree) -> str:
         "test_costs": [float(c) for c in tree.tc_used.costs],
         "root": _node_to_json(tree.root),
     }
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
 
 
 def _node_from_json(obj, num_attributes: int, leaf_width: list[int | None]) -> TreeNode:
@@ -373,18 +449,14 @@ def _node_from_json(obj, num_attributes: int, leaf_width: list[int | None]) -> T
     keys = set(obj)
     if keys == {"leaf", "histogram"}:
         hist = obj["histogram"]
-        if (
-            not isinstance(hist, list)
-            or not hist
-            or not all(isinstance(c, int) and c >= 0 for c in hist)
-        ):
+        if not isinstance(hist, list) or not hist or not all(_is_int(c) and c >= 0 for c in hist):
             raise ValueError("leaf histogram must be a list of nonnegative integers")
         if leaf_width[0] is None:
             leaf_width[0] = len(hist)
         elif leaf_width[0] != len(hist):
             raise ValueError("all leaf histograms must have the same length")
         predicted = obj["leaf"]
-        if not isinstance(predicted, int) or not 0 <= predicted < len(hist):
+        if not _is_int(predicted) or not 0 <= predicted < len(hist):
             raise ValueError("leaf class must index the histogram")
         arr = np.array(hist, dtype=np.int64)
         if predicted != int(np.argmax(arr)):
@@ -392,10 +464,10 @@ def _node_from_json(obj, num_attributes: int, leaf_width: list[int | None]) -> T
         return TreeNode(histogram=arr, predicted_class=predicted)
     if keys == {"attribute", "threshold", "left", "right"}:
         attribute = obj["attribute"]
-        if not isinstance(attribute, int) or not 0 <= attribute < num_attributes:
+        if not _is_int(attribute) or not 0 <= attribute < num_attributes:
             raise ValueError(f"attribute index must lie in [0, {num_attributes - 1}]")
         threshold = obj["threshold"]
-        if not isinstance(threshold, (int, float)) or not math.isfinite(threshold):
+        if not _is_number(threshold) or not math.isfinite(threshold):
             raise ValueError("threshold must be a finite number")
         left = _node_from_json(obj["left"], num_attributes, leaf_width)
         right = _node_from_json(obj["right"], num_attributes, leaf_width)
@@ -425,9 +497,12 @@ def deserialize(text: str) -> DecisionTree:
     if not isinstance(doc, dict) or set(doc) != {"lambda", "test_costs", "root"}:
         raise ValueError("top level must be an object with lambda, test_costs, root")
     lam = doc["lambda"]
-    if not isinstance(lam, (int, float)) or lam > 0:
+    if not _is_number(lam) or not lam <= 0:
         raise ValueError("lambda must be a number <= 0")
-    tc = TestCostVector(tuple(doc["test_costs"]))
+    costs = doc["test_costs"]
+    if not isinstance(costs, list) or not all(_is_number(c) for c in costs):
+        raise ValueError("test_costs must be a list of numbers")
+    tc = TestCostVector(tuple(costs))
     leaf_width: list[int | None] = [None]
     root = _node_from_json(doc["root"], len(tc), leaf_width)
     return DecisionTree(root=root, lambda_used=float(lam), tc_used=tc)

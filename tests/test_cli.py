@@ -310,6 +310,43 @@ class TestExitCodes:
         assert code == 1
         assert "no mc_matrix key" in err
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d.update(test_costs=5), "test_costs"),
+            (lambda d: d.update(test_costs=["4"] * 8), "test_costs"),
+            (lambda d: d.update(test_costs=[True] * 8), "test_costs"),
+            (lambda d: d.update({"lambda": False}), "lambda"),
+            (lambda d: d.update({"lambda": float("nan")}), "lambda"),
+            (lambda d: d["root"].update(attribute=True), "attribute index"),
+            (lambda d: d["root"].update(threshold=True), "threshold"),
+            (lambda d: d["root"]["right"]["right"].update(leaf=True), "leaf class"),
+            (lambda d: d["root"]["right"]["right"].update(histogram=[False, 7]), "histogram"),
+        ],
+    )
+    def test_malformed_tree_json(
+        self, capsys, sample_path, fixture_tree_path, tmp_path, mutate, message
+    ):
+        doc = json.loads(fixture_tree_path.read_text(encoding="utf-8"))
+        mutate(doc)
+        fixture = tmp_path / "tree.json"
+        fixture.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run(
+            capsys, "prune", "--fixture", str(fixture), "--data", str(sample_path)
+        )
+        assert code == 1
+        assert err.startswith("error:") and message in err
+
+    def test_experiment_matrix_class_mismatch(self, capsys, tmp_path):
+        path = tmp_path / "three.csv"
+        path.write_text("a,c\n1,x\n2,y\n3,z\n4,x\n5,y\n6,z\n", encoding="utf-8")
+        code, _, err = run(
+            capsys, "experiment", "--data", str(path), "--trials", "1",
+            "--mc-01", "1", "--mc-10", "2",
+        )
+        assert code == 1
+        assert "matrix classes and dataset classes differ" in err
+
     def test_help_exits_cleanly(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0

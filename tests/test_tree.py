@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 
 import oracles
 import support
+from cstree.competition import LambdaGrid
 from cstree.costs import TestCostVector
 from cstree.data import Dataset
 from cstree.tree import (
+    _near_top,
+    _pick_split,
     MIN_SPLIT_INFO,
     DecisionTree,
     TreeNode,
@@ -248,6 +251,75 @@ class TestBestSplit:
             elif (chosen.attribute, chosen.threshold) != (expected[1], expected[2]):
                 # both scored the top two within rounding of each other
                 assert chosen.gain_ratio == pytest.approx(expected[0], abs=1e-9)
+
+
+class TestSplitCache:
+    def test_near_top_keeps_neighbours_that_collapse_under_weight(self):
+        top = 0.7
+        below = math.nextafter(top, 0.0)
+        weight = split_heuristic(1.0, 5.0, -1.0, False)  # 5 ** -1
+        assert below * weight == top * weight  # one ulp apart, equal products
+        masked = np.array([below, 0.1, top, top, -np.inf])
+        thresholds = np.array([1.5, 2.5, 3.5, 4.5, 5.5])
+        # the full scan picks index 0, not the first maximum of the ratios
+        assert int(np.argmax(masked * weight)) == 0
+        assert int(np.argmax(masked)) == 2
+        near = _near_top(masked)
+        assert near.tolist() == [0, 2]
+        candidates = ((3, thresholds[near].tolist(), masked[near].tolist()),)
+        tc = TestCostVector((1.0, 1.0, 1.0, 5.0))
+        picked = _pick_split(candidates, tc, -1.0, frozenset())
+        assert (picked.attribute, picked.threshold) == (3, 1.5)
+        assert picked.gain_ratio == below and picked.heuristic_value == top * weight
+        # an attribute already on the path keeps weight 1: the true maximum wins
+        picked = _pick_split(candidates, tc, -1.0, frozenset({3}))
+        assert (picked.threshold, picked.heuristic_value) == (3.5, top)
+
+    def test_near_top_drops_clearly_smaller_ratios(self):
+        masked = np.array([0.5, 0.7 * (1 - 1e-12), -np.inf, 0.7, 0.7])
+        assert _near_top(masked).tolist() == [3]
+
+    @pytest.mark.parametrize("cost", [1e80, 1e-77])  # subnormal weight, overflow
+    def test_pick_asks_for_rescan_off_normal_products(self, cost):
+        tc = TestCostVector((cost,))
+        assert _pick_split(((0, [1.5], [10.0]),), tc, -4.0, frozenset()) is False
+        # the same weight is harmless on a re-tested attribute
+        picked = _pick_split(((0, [1.5], [10.0]),), tc, -4.0, frozenset({0}))
+        assert picked.heuristic_value == 10.0
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        min_leaf=st.integers(1, 3),
+        # costs near 1e100 give weights below the normal range from about
+        # lam = -3.25 down, which forces the rescan path
+        scale=st.sampled_from([1.0, 1e100]),
+    )
+    def test_shared_cache_grows_the_same_trees(self, seed, min_leaf, scale):
+        # Every node of a tree grown on the shared cache must hold the split
+        # an uncached best_split picks for its rows and path (None at a
+        # leaf), so by induction it is the uncached tree; the cached and
+        # uncached candidates must agree in every field.
+        rng = np.random.default_rng(seed)
+        ds = support.random_dataset(rng, max_rows=30)
+        tc = TestCostVector(
+            tuple(scale * float(c) for c in rng.uniform(0.5, 12.0, ds.num_attributes))
+        )
+        cache: dict = {}
+
+        def walk(node, lam, path):
+            args = (node.subset, tc, lam, path, min_leaf)
+            alone = best_split(*args)
+            assert best_split(*args, cache=cache) == alone
+            if node.is_leaf:
+                assert alone is None
+                return
+            assert (node.attribute, node.threshold) == (alone.attribute, alone.threshold)
+            walk(node.left, lam, path | {node.attribute})
+            walk(node.right, lam, path | {node.attribute})
+
+        for lam in LambdaGrid().values():
+            walk(build_tree(ds.all_instances(), tc, lam, min_leaf, cache).root, lam, frozenset())
 
 
 class TestBuildTree:
