@@ -12,8 +12,6 @@ from .competition import (
     SweepResult,
     run_competition,
     run_competitions,
-    win_counts,
-    with_test_costs,
 )
 from .costs import (
     CostDistributionSpec,
@@ -36,6 +34,7 @@ from .experiment import (
     ExperimentConfig,
     TrialReportRow,
     report_summary,
+    resolve_costs,
     run_experiment,
     trial_streams,
     write_rows_csv,
@@ -50,14 +49,10 @@ from .tree import (
     attach_instances,
     best_split,
     build_tree,
-    candidate_thresholds,
     classify,
     deserialize,
     entropy,
-    gain_ratio,
     serialize,
-    split_heuristic,
-    split_statistics,
     structural_equal,
 )
 
@@ -85,11 +80,9 @@ __all__ = [
     "average_reduction_ratio",
     "best_split",
     "build_tree",
-    "candidate_thresholds",
     "classify",
     "deserialize",
     "entropy",
-    "gain_ratio",
     "generate_test_costs",
     "leaf_replacement_cost",
     "load_cost_file",
@@ -97,20 +90,17 @@ __all__ = [
     "post_prune",
     "reduction_ratio",
     "report_summary",
+    "resolve_costs",
     "run_competition",
     "run_competitions",
     "run_experiment",
     "serialize",
-    "split_heuristic",
-    "split_statistics",
     "split_train_test",
     "structural_equal",
     "subtree_cost",
     "total_test_cost",
     "trial_streams",
     "two_class_matrix",
-    "win_counts",
-    "with_test_costs",
     "write_rows_csv",
     "write_summary_json",
     "write_trace_csv",

@@ -17,10 +17,10 @@ from .costs import (
 from .data import load_csv, split_train_test
 from .evaluation import CostBreakdown, average_cost
 from .experiment import (
-    DEFAULT_MC,
     PRUNE_FLAGS,
     ExperimentConfig,
     report_summary,
+    resolve_costs,
     run_experiment,
     trial_rows,
     trial_streams,
@@ -33,6 +33,11 @@ from .tree import attach_instances, build_tree, deserialize, serialize
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # flags are spelled in full: an abbreviation such as prune's
+        # "--prune" would otherwise silently select "--prune-on-tie"
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # usage problems should exit 1 like every other validation error
     def error(self, message):
         raise ValueError(message)
@@ -51,19 +56,8 @@ def _cost_flags(parser):
     parser.add_argument(
         "--cost-file",
         default=None,
-        help="JSON file with test_costs and/or mc_matrix; fixed costs skip the draw",
+        help="JSON file with test_costs and/or mc_matrix",
     )
-    parser.add_argument(
-        "--cost-dist",
-        default="uniform",
-        choices=["uniform", "normal", "pareto"],
-        help="distribution for drawn test costs (default uniform)",
-    )
-    parser.add_argument("--cost-lower", type=int, default=1)
-    parser.add_argument("--cost-upper", type=int, default=10)
-    parser.add_argument("--normal-mean", type=float, default=5.5)
-    parser.add_argument("--normal-sd", type=float, default=2.0)
-    parser.add_argument("--pareto-shape", type=float, default=2.0)
     parser.add_argument("--mc-file", default=None, help="JSON file with mc_matrix")
     parser.add_argument(
         "--mc-01",
@@ -79,6 +73,20 @@ def _cost_flags(parser):
     )
 
 
+def _draw_flags(parser):
+    parser.add_argument(
+        "--cost-dist",
+        default="uniform",
+        choices=["uniform", "normal", "pareto"],
+        help="distribution for drawn test costs (default uniform)",
+    )
+    parser.add_argument("--cost-lower", type=int, default=1)
+    parser.add_argument("--cost-upper", type=int, default=10)
+    parser.add_argument("--normal-mean", type=float, default=5.5)
+    parser.add_argument("--normal-sd", type=float, default=2.0)
+    parser.add_argument("--pareto-shape", type=float, default=2.0)
+
+
 def _lambda_flags(parser):
     parser.add_argument(
         "--lambda",
@@ -92,6 +100,14 @@ def _lambda_flags(parser):
     parser.add_argument("--lambda-step", type=float, default=0.25)
 
 
+def _tie_flag(parser):
+    parser.add_argument(
+        "--prune-on-tie",
+        action="store_true",
+        help="also prune when keeping and pruning cost exactly the same",
+    )
+
+
 def _run_flags(parser, prune_choices, prune_default):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -102,18 +118,15 @@ def _run_flags(parser, prune_choices, prune_default):
         action="store_true",
         help="shorthand for --prune none",
     )
-    parser.add_argument(
-        "--prune-on-tie",
-        action="store_true",
-        help="also prune when keeping and pruning cost exactly the same",
-    )
+    _tie_flag(parser)
     parser.add_argument("--min-leaf", type=int, default=2)
 
 
-def _output_flags(parser):
+def _output_flags(parser, tree_out=True):
     parser.add_argument("--out-csv", default=None)
     parser.add_argument("--out-json", default=None)
-    parser.add_argument("--tree-out", default=None)
+    if tree_out:
+        parser.add_argument("--tree-out", default=None)
 
 
 def _cost_spec(args) -> CostDistributionSpec:
@@ -141,24 +154,18 @@ def _flag_mc(args):
     return None
 
 
-def _resolve_mc(args, num_classes, file_mc):
-    mc = _flag_mc(args) or file_mc
-    if mc is None:
-        if num_classes != 2:
-            raise ValueError("a misclassification matrix is required beyond two classes")
-        mc = DEFAULT_MC
-    if mc.num_classes != num_classes:
-        raise ValueError("matrix classes and dataset classes differ")
-    return mc
+def _load(args):
+    """The dataset plus resolve_costs' fixed test costs (or None) and matrix."""
+    dataset = load_csv(args.data, args.label_column)
+    return (dataset, *resolve_costs(dataset, args.cost_file, _flag_mc(args)))
 
 
-def _resolve_tc(args, num_attributes, file_tc):
-    if file_tc is not None:
-        if len(file_tc) != num_attributes:
-            raise ValueError("cost file length and attribute count differ")
-        return file_tc
+def _test_costs(args, dataset, fixed_tc):
+    """The fixed test costs, else a draw from the cost stream of trial 0."""
+    if fixed_tc is not None:
+        return fixed_tc
     return generate_test_costs(
-        _cost_spec(args), num_attributes, trial_streams(args.seed, 0)[0]
+        _cost_spec(args), dataset.num_attributes, trial_streams(args.seed, 0)[0]
     )
 
 
@@ -213,18 +220,12 @@ def _write_json(path, payload):
 
 
 def cmd_train(args) -> None:
-    dataset = load_csv(args.data, args.label_column)
-    file_tc, file_mc = (
-        load_cost_file(args.cost_file) if args.cost_file else (None, None)
-    )
-    tc = _resolve_tc(args, dataset.num_attributes, file_tc)
-    mc = _resolve_mc(args, dataset.num_classes, file_mc)
+    dataset, fixed_tc, mc = _load(args)
+    tc = _test_costs(args, dataset, fixed_tc)
     lam = args.lam if args.lam is not None else 0.0
     if args.train_fraction is not None:
-        import numpy as np
-
         train, test = split_train_test(
-            dataset, args.train_fraction, np.random.default_rng([args.seed, 0, 1])
+            dataset, args.train_fraction, trial_streams(args.seed, 0)[1]
         )
     else:
         train, test = dataset.all_instances(), None
@@ -261,15 +262,11 @@ def cmd_train(args) -> None:
 
 
 def cmd_prune(args) -> None:
-    dataset = load_csv(args.data, args.label_column)
+    dataset, fixed_tc, mc = _load(args)
     tree = deserialize(Path(args.fixture).read_text(encoding="utf-8"))
-    file_tc, file_mc = (
-        load_cost_file(args.cost_file) if args.cost_file else (None, None)
-    )
-    tc = file_tc if file_tc is not None else tree.tc_used
+    tc = fixed_tc if fixed_tc is not None else tree.tc_used
     if len(tc) != dataset.num_attributes:
         raise ValueError("test cost count and attribute count differ")
-    mc = _resolve_mc(args, dataset.num_classes, file_mc)
     bound = attach_instances(tree, dataset.all_instances())
     everything = dataset.all_instances()
     initial = average_cost(bound, everything, tc, mc)
@@ -302,17 +299,11 @@ def cmd_prune(args) -> None:
 
 
 def cmd_sweep(args) -> None:
-    import numpy as np
-
-    dataset = load_csv(args.data, args.label_column)
-    file_tc, file_mc = (
-        load_cost_file(args.cost_file) if args.cost_file else (None, None)
-    )
-    tc = _resolve_tc(args, dataset.num_attributes, file_tc)
-    mc = _resolve_mc(args, dataset.num_classes, file_mc)
+    dataset, fixed_tc, mc = _load(args)
+    tc = _test_costs(args, dataset, fixed_tc)
     grid = _resolve_grid(args)
     train, test = split_train_test(
-        dataset, args.train_fraction, np.random.default_rng([args.seed, 0, 1])
+        dataset, args.train_fraction, trial_streams(args.seed, 0)[1]
     )
     sweeps = run_competitions(
         train, tc, mc, grid, PRUNE_FLAGS[_prune_mode(args)], args.min_leaf,
@@ -384,6 +375,7 @@ def build_parser() -> _Parser:
     train = sub.add_parser("train", help="grow one tree at a single exponent")
     _data_flags(train)
     _cost_flags(train)
+    _draw_flags(train)
     train.add_argument("--lambda", dest="lam", type=float, default=None)
     train.add_argument(
         "--train-fraction",
@@ -399,13 +391,14 @@ def build_parser() -> _Parser:
     prune.add_argument("--fixture", required=True, help="tree JSON to load")
     _data_flags(prune)
     _cost_flags(prune)
-    _run_flags(prune, ("post",), "post")
+    _tie_flag(prune)
     _output_flags(prune)
     prune.set_defaults(func=cmd_prune)
 
     sweep = sub.add_parser("sweep", help="one competition over the exponent grid")
     _data_flags(sweep)
     _cost_flags(sweep)
+    _draw_flags(sweep)
     _lambda_flags(sweep)
     sweep.add_argument("--train-fraction", type=float, default=0.6)
     _run_flags(sweep, ("none", "post", "both"), "post")
@@ -415,11 +408,12 @@ def build_parser() -> _Parser:
     experiment = sub.add_parser("experiment", help="repeated randomized trials")
     _data_flags(experiment)
     _cost_flags(experiment)
+    _draw_flags(experiment)
     _lambda_flags(experiment)
     experiment.add_argument("--train-fraction", type=float, default=0.6)
     experiment.add_argument("--trials", type=int, default=100)
     _run_flags(experiment, ("none", "post", "both"), "both")
-    _output_flags(experiment)
+    _output_flags(experiment, tree_out=False)
     experiment.set_defaults(func=cmd_experiment)
     return parser
 

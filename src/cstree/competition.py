@@ -8,7 +8,7 @@ minimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .costs import MisclassificationMatrix, TestCostVector
 from .data import InstanceSubset
@@ -22,8 +22,6 @@ __all__ = [
     "SweepResult",
     "run_competition",
     "run_competitions",
-    "with_test_costs",
-    "win_counts",
 ]
 
 _GRID_TOLERANCE = 1e-9
@@ -58,12 +56,11 @@ class LambdaGrid:
 
 @dataclass(frozen=True)
 class LambdaRecord:
-    """One competitor: its exponent, tree, and measured costs."""
+    """One competitor: its exponent, tree, and cost on its training rows."""
 
     lam: float
     tree: DecisionTree
     train_cost: CostBreakdown
-    test_cost: CostBreakdown | None = None
 
 
 @dataclass(frozen=True)
@@ -128,47 +125,3 @@ def run_competition(
     return run_competitions(
         train, tc, mc, grid, (prune,), min_leaf_size, prune_on_tie
     )[prune]
-
-
-def with_test_costs(
-    result: SweepResult,
-    test: InstanceSubset,
-    tc: TestCostVector,
-    mc: MisclassificationMatrix,
-) -> SweepResult:
-    """Copy of a sweep with every record's cost on held-out rows filled in."""
-    records = tuple(
-        replace(record, test_cost=average_cost(record.tree, test, tc, mc))
-        for record in result.records
-    )
-    return SweepResult(
-        records=records,
-        winner_lambda=result.winner_lambda,
-        winner_tree=result.winner_tree,
-    )
-
-
-def win_counts(results) -> dict[float, int]:
-    """How often each exponent's tree reaches the minimal test cost.
-
-    Every exponent tied at the minimum of a sweep earns one win, so the
-    counts can sum to more than the number of sweeps.
-    """
-    results = list(results)
-    if not results:
-        raise ValueError("need at least one sweep result")
-    grid = tuple(record.lam for record in results[0].records)
-    counts = {lam: 0 for lam in grid}
-    for result in results:
-        if tuple(record.lam for record in result.records) != grid:
-            raise ValueError("all sweeps must share one exponent grid")
-        averages = []
-        for record in result.records:
-            if record.test_cost is None:
-                raise ValueError("every record needs a test cost; run with_test_costs")
-            averages.append(record.test_cost.average)
-        lowest = min(averages)
-        for lam, average in zip(grid, averages):
-            if average == lowest:
-                counts[lam] += 1
-    return counts

@@ -23,6 +23,15 @@ __all__ = [
 DISTRIBUTION_KINDS = ("uniform", "normal", "pareto")
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 @dataclass(frozen=True)
 class TestCostVector:
     """One strictly positive acquisition cost per attribute."""
@@ -169,14 +178,16 @@ def load_cost_file(path):
         raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
     tc = None
     if "test_costs" in doc:
-        if not isinstance(doc["test_costs"], list):
+        costs = doc["test_costs"]
+        if not isinstance(costs, list) or not all(_is_number(c) for c in costs):
             raise ValueError(f"{path}: test_costs must be a list of numbers")
-        tc = TestCostVector(tuple(doc["test_costs"]))
+        tc = TestCostVector(tuple(costs))
     mc = None
     if "mc_matrix" in doc:
-        if not isinstance(doc["mc_matrix"], list) or not all(
-            isinstance(row, list) for row in doc["mc_matrix"]
-        ):
+        rows = doc["mc_matrix"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError(f"{path}: mc_matrix must be a list of rows")
-        mc = MisclassificationMatrix(tuple(tuple(row) for row in doc["mc_matrix"]))
+        if not all(_is_number(v) for row in rows for v in row):
+            raise ValueError(f"{path}: mc_matrix entries must be numbers")
+        mc = MisclassificationMatrix(tuple(tuple(row) for row in rows))
     return tc, mc

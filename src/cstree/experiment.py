@@ -26,7 +26,7 @@ from .costs import (
     load_cost_file,
     two_class_matrix,
 )
-from .data import InstanceSubset, load_csv, split_train_test
+from .data import Dataset, InstanceSubset, load_csv, split_train_test
 from .evaluation import average_cost, average_reduction_ratio, reduction_ratio
 from .pruning import PruneTraceEntry
 from .tree import DEFAULT_MIN_LEAF
@@ -35,6 +35,7 @@ __all__ = [
     "ExperimentConfig",
     "TrialReportRow",
     "trial_streams",
+    "resolve_costs",
     "run_experiment",
     "trial_rows",
     "report_summary",
@@ -131,14 +132,20 @@ class TrialReportRow:
     reduction: float | None = None
 
 
-def run_experiment(config: ExperimentConfig):
-    """Run all trials; returns (rows, summary)."""
-    dataset = load_csv(config.data_path, config.label_column)
-    fixed_tc = None
-    file_mc = None
-    if config.cost_file is not None:
-        fixed_tc, file_mc = load_cost_file(config.cost_file)
-    mc = config.mc or file_mc
+def resolve_costs(
+    dataset: Dataset,
+    cost_file: str | Path | None = None,
+    mc: MisclassificationMatrix | None = None,
+):
+    """The fixed test costs and the misclassification matrix for a dataset.
+
+    Returns ``(TestCostVector | None, MisclassificationMatrix)``. The test
+    costs are the cost file's, or None when they are to be drawn. The
+    matrix is ``mc``, else the cost file's, else DEFAULT_MC for two-class
+    data. Both must fit the dataset's attribute and class counts.
+    """
+    fixed_tc, file_mc = load_cost_file(cost_file) if cost_file is not None else (None, None)
+    mc = mc or file_mc
     if mc is None:
         if dataset.num_classes != 2:
             raise ValueError(
@@ -149,7 +156,13 @@ def run_experiment(config: ExperimentConfig):
         raise ValueError("matrix classes and dataset classes differ")
     if fixed_tc is not None and len(fixed_tc) != dataset.num_attributes:
         raise ValueError("cost file length and attribute count differ")
+    return fixed_tc, mc
 
+
+def run_experiment(config: ExperimentConfig):
+    """Run all trials; returns (rows, summary)."""
+    dataset = load_csv(config.data_path, config.label_column)
+    fixed_tc, mc = resolve_costs(dataset, config.cost_file, config.mc)
     rows: list[TrialReportRow] = []
     for trial in range(config.trials):
         costs_rng, split_rng = trial_streams(config.seed, trial)
@@ -219,11 +232,11 @@ def _mode_stats(rows, lams, trials):
         if row.lam in by_trial[row.trial]:
             raise ValueError("duplicate row for one trial and exponent")
         by_trial[row.trial][row.lam] = row
+    if any(len(seen) != len(lams) for seen in by_trial.values()):
+        raise ValueError("rows do not cover every trial and exponent")
     per_lambda = {}
     for lam in lams:
         column = [by_trial[trial][lam] for trial in trials]
-        if len(column) != len(trials):
-            raise ValueError("rows do not cover every trial and exponent")
         per_lambda[_lam_key(lam)] = {
             "mean_train_avg_cost": sum(r.train_average for r in column) / len(column),
             "mean_test_avg_cost": sum(r.test_average for r in column) / len(column),
@@ -233,8 +246,6 @@ def _mode_stats(rows, lams, trials):
     winner_hits = 0
     for trial in trials:
         trial_rows = by_trial[trial]
-        if len(trial_rows) != len(lams):
-            raise ValueError("rows do not cover every trial and exponent")
         lowest_test = min(r.test_average for r in trial_rows.values())
         for lam in lams:
             if trial_rows[lam].test_average == lowest_test:
@@ -251,7 +262,13 @@ def _mode_stats(rows, lams, trials):
 
 
 def report_summary(rows) -> dict:
-    """Aggregate trial rows; everything here is recomputable from the CSV."""
+    """Aggregate trial rows; everything here is recomputable from the CSV.
+
+    Per prune mode, ``win_counts`` credits every exponent whose test
+    average ties the trial's minimum, so the counts can sum to more than
+    the number of trials. Every trial must have exactly one row per
+    exponent of the grid.
+    """
     rows = list(rows)
     if not rows:
         raise ValueError("need at least one row")

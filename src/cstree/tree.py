@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import TestCostVector
+from .costs import TestCostVector, _is_int, _is_number
 from .data import InstanceSubset
 
 __all__ = [
@@ -24,10 +24,6 @@ __all__ = [
     "DecisionTree",
     "SplitCandidate",
     "entropy",
-    "split_statistics",
-    "gain_ratio",
-    "candidate_thresholds",
-    "split_heuristic",
     "best_split",
     "build_tree",
     "classify",
@@ -54,59 +50,6 @@ def entropy(histogram) -> float:
         raise ValueError("histogram must count at least one instance")
     probs = counts[counts > 0] / total
     return float(-(probs * np.log2(probs)).sum()) + 0.0
-
-
-def split_statistics(subset: InstanceSubset, attribute: int, threshold: float):
-    """Information gain and split information for one threshold test.
-
-    Rounding can push a mathematically zero gain a hair negative, so the
-    gain is clamped at zero.
-    """
-    left, right = subset.partition(attribute, threshold)
-    if len(left) == 0 or len(right) == 0:
-        raise ValueError("threshold must place at least one instance on each side")
-    n = len(subset)
-    gain = (
-        entropy(subset.class_histogram())
-        - (len(left) / n) * entropy(left.class_histogram())
-        - (len(right) / n) * entropy(right.class_histogram())
-    )
-    split_info = entropy(np.array([len(left), len(right)], dtype=np.float64))
-    return max(gain, 0.0), split_info
-
-
-def gain_ratio(subset: InstanceSubset, attribute: int, threshold: float) -> float:
-    """Information gain normalised by the entropy of the subset sizes."""
-    gain, split_info = split_statistics(subset, attribute, threshold)
-    if split_info < MIN_SPLIT_INFO:
-        return 0.0
-    return gain / split_info
-
-
-def candidate_thresholds(subset: InstanceSubset, attribute: int) -> list[float]:
-    """Midpoints between consecutive distinct sorted values of one column."""
-    if len(subset) == 0:
-        raise ValueError("cannot enumerate thresholds of an empty subset")
-    distinct = np.unique(subset.values(attribute))
-    mids = (distinct[:-1] + distinct[1:]) / 2.0
-    return [float(m) for m in mids]
-
-
-def split_heuristic(
-    gain_ratio_value: float, attribute_cost: float, lam: float, already_tested: bool
-) -> float:
-    """Score of one candidate split: gain ratio times cost ** lam.
-
-    A repeated test on the current path carries weight 1 regardless of its
-    price, because the value is already known there.
-    """
-    if lam > 0:
-        raise ValueError("the cost exponent must be zero or negative")
-    if attribute_cost <= 0:
-        raise ValueError("attribute test cost must be positive")
-    if already_tested:
-        return float(gain_ratio_value)
-    return float(gain_ratio_value * attribute_cost**lam)
 
 
 @dataclass(frozen=True)
@@ -213,12 +156,17 @@ def _split_candidates(subset: InstanceSubset, hist, min_leaf_size: int):
     return tuple(candidates)
 
 
+def _weight(tc: TestCostVector, lam: float, a: int, tested_on_path) -> float:
+    """tc(a) ** lam, or 1 for an attribute already tested on the path."""
+    return 1.0 if a in tested_on_path else tc.cost(a) ** lam
+
+
 def _pick_split(candidates, tc, lam, tested_on_path) -> SplitCandidate | None | bool:
     """best_split's choice from _split_candidates, or False when a winning
     product is not a normal number and only a full rescan is exact."""
     best: tuple[float, int, float, float] | None = None
     for a, thresholds, ratios in candidates:
-        weight = split_heuristic(1.0, tc.cost(a), lam, a in tested_on_path)
+        weight = _weight(tc, lam, a, tested_on_path)
         top = None
         for threshold, ratio in zip(thresholds, ratios):
             score = ratio * weight
@@ -268,7 +216,7 @@ def best_split(
             return picked
     best: tuple[float, int, float, float] | None = None
     for a, thresholds, ratios, admissible in _ratio_scans(subset, hist, min_leaf_size):
-        weight = split_heuristic(1.0, tc.cost(a), lam, a in tested_on_path)
+        weight = _weight(tc, lam, a, tested_on_path)
         scores = np.where(admissible, ratios * weight, -np.inf)
         i = int(np.argmax(scores))
         if best is None or scores[i] > best[0]:
@@ -432,15 +380,6 @@ def serialize(tree: DecisionTree) -> str:
         "root": _node_to_json(tree.root),
     }
     return json.dumps(doc, separators=(",", ":"))
-
-
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, which Python counts as an int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
 
 
 def _node_from_json(obj, num_attributes: int, leaf_width: list[int | None]) -> TreeNode:

@@ -53,6 +53,25 @@ def _histogram(labels, k):
     return h
 
 
+def split_gain_ratio(rows, labels, k, attribute, threshold, min_leaf=2):
+    """Gain ratio of the test row[attribute] <= threshold, or None when
+    the library would not admit it."""
+    left = [l for row, l in zip(rows, labels) if row[attribute] <= threshold]
+    right = [l for row, l in zip(rows, labels) if row[attribute] > threshold]
+    if len(left) < min_leaf or len(right) < min_leaf:
+        return None
+    total = len(labels)
+    gain = (
+        entropy_bits(_histogram(labels, k))
+        - len(left) / total * entropy_bits(_histogram(left, k))
+        - len(right) / total * entropy_bits(_histogram(right, k))
+    )
+    split_info = entropy_bits([len(left), len(right)])
+    if gain <= 0.0 or split_info < ADMISSION_FLOOR:
+        return None
+    return gain / split_info
+
+
 def best_gain_ratio_split(rows, labels, k, min_leaf=2):
     """Exhaustive scan returning (score, attribute, threshold) or None.
 
@@ -60,26 +79,12 @@ def best_gain_ratio_split(rows, labels, k, min_leaf=2):
     information above the floor, both sides at least min_leaf, ties to
     the lowest attribute index and then the lowest threshold.
     """
-    parent_entropy = entropy_bits(_histogram(labels, k))
-    total = len(labels)
     best = None
     for attribute in range(len(rows[0])):
         values = sorted({row[attribute] for row in rows})
         for low, high in zip(values, values[1:]):
             threshold = (low + high) / 2.0
-            left = [l for row, l in zip(rows, labels) if row[attribute] <= threshold]
-            right = [l for row, l in zip(rows, labels) if row[attribute] > threshold]
-            if len(left) < min_leaf or len(right) < min_leaf:
-                continue
-            gain = (
-                parent_entropy
-                - len(left) / total * entropy_bits(_histogram(left, k))
-                - len(right) / total * entropy_bits(_histogram(right, k))
-            )
-            split_info = entropy_bits([len(left), len(right)])
-            if gain <= 0.0 or split_info < ADMISSION_FLOOR:
-                continue
-            score = gain / split_info
-            if best is None or score > best[0]:
+            score = split_gain_ratio(rows, labels, k, attribute, threshold, min_leaf)
+            if score is not None and (best is None or score > best[0]):
                 best = (score, attribute, threshold)
     return best

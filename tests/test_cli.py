@@ -8,6 +8,23 @@ from cstree.cli import main
 from cstree.tree import deserialize
 
 
+# flags a subcommand used to accept and ignore; all now exit 1
+IGNORED_FLAGS = [
+    ("prune", ["--seed", "1"]),
+    ("prune", ["--prune", "post"]),
+    ("prune", ["--prune"]),  # not taken as an abbreviation of --prune-on-tie
+    ("prune", ["--no-prune"]),
+    ("prune", ["--min-leaf", "3"]),
+    ("prune", ["--cost-dist", "uniform"]),
+    ("prune", ["--cost-lower", "1"]),
+    ("prune", ["--cost-upper", "10"]),
+    ("prune", ["--normal-mean", "5.5"]),
+    ("prune", ["--normal-sd", "2"]),
+    ("prune", ["--pareto-shape", "2"]),
+    ("experiment", ["--tree-out", "{tmp}/tree.json"]),
+]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -336,6 +353,51 @@ class TestExitCodes:
         )
         assert code == 1
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"test_costs": [None] + [1] * 7}, "test_costs"),
+            ({"test_costs": [True] * 8}, "test_costs"),
+            ({"test_costs": ["4"] * 8}, "test_costs"),
+            ({"mc_matrix": [[0, True], [1, 0]]}, "mc_matrix"),
+            ({"mc_matrix": [[0, None], [1, 0]]}, "mc_matrix"),
+            ({"mc_matrix": [[0, "5"], [1, 0]]}, "mc_matrix"),
+        ],
+    )
+    def test_malformed_cost_file(self, capsys, sample_path, tmp_path, doc, message):
+        costs = tmp_path / "costs.json"
+        costs.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run(
+            capsys, "train", "--data", str(sample_path), "--cost-file", str(costs)
+        )
+        assert code == 1
+        assert err.startswith("error:") and message in err and str(costs) in err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        IGNORED_FLAGS,
+        ids=[f"{command} {' '.join(flag)}" for command, flag in IGNORED_FLAGS],
+    )
+    def test_ignored_flags_are_rejected(
+        self, capsys, sample_path, fixture_tree_path, tmp_path, command, flag
+    ):
+        argv = {
+            "prune": ["prune", "--fixture", str(fixture_tree_path)],
+            "experiment": ["experiment", "--trials", "1", "--lambda", "0"],
+        }[command]
+        flag = [part.format(tmp=tmp_path) for part in flag]
+        code, out, err = run(capsys, *argv, "--data", str(sample_path), *flag)
+        assert code == 1
+        assert out == "" and "unrecognized arguments" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_flags_are_spelled_in_full(self, capsys, sample_path):
+        code, _, err = run(
+            capsys, "sweep", "--data", str(sample_path), "--train-frac", "0.5"
+        )
+        assert code == 1
+        assert "unrecognized arguments" in err
 
     def test_experiment_matrix_class_mismatch(self, capsys, tmp_path):
         path = tmp_path / "three.csv"

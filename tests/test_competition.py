@@ -1,20 +1,15 @@
-"""Exponent grids and the per-exponent tree competition."""
+"""Exponent grids, the per-exponent tree competition, and how its trees
+are scored on held-out rows and counted as winners across trials."""
 
 import numpy as np
 import pytest
 
 import support
-from cstree.competition import (
-    LambdaGrid,
-    LambdaRecord,
-    SweepResult,
-    run_competition,
-    win_counts,
-    with_test_costs,
-)
+from cstree.competition import LambdaGrid, run_competition, run_competitions
 from cstree.costs import TestCostVector
-from cstree.evaluation import CostBreakdown, average_cost
-from cstree.tree import build_tree, serialize, structural_equal
+from cstree.evaluation import average_cost
+from cstree.experiment import TrialReportRow, report_summary, trial_rows
+from cstree.tree import serialize, structural_equal
 
 
 class TestLambdaGrid:
@@ -106,7 +101,6 @@ class TestRunCompetition:
             sample.all_instances(), table_costs, example_mc, LambdaGrid(-1.0, 0.0, 0.5)
         )
         assert [r.lam for r in result.records] == [-1.0, -0.5, 0.0]
-        assert all(r.test_cost is None for r in result.records)
 
     def test_record_for_unknown_exponent(self, sample, table_costs, example_mc):
         result = run_competition(
@@ -120,72 +114,73 @@ class TestWithTestCosts:
     def test_fills_every_record(self, sample, table_costs, example_mc):
         rows = sample.all_instances()
         train, test = rows.partition(1, 125.5)
-        result = run_competition(train, table_costs, example_mc, LambdaGrid(-1.0, 0.0, 0.5))
-        scored = with_test_costs(result, test, table_costs, example_mc)
-        assert scored.winner_lambda == result.winner_lambda
-        for before, after in zip(result.records, scored.records):
-            assert before.test_cost is None
-            assert after.test_cost is not None
-            assert after.test_cost == average_cost(
-                after.tree, test, table_costs, example_mc
-            )
-            assert after.train_cost == before.train_cost
-
-
-def _fake_sweep(test_averages):
-    """A SweepResult with the given per-exponent test averages."""
-    from cstree.data import Dataset
-    from cstree.tree import build_tree as grow
-
-    ds = Dataset.from_arrays([[1.0], [2.0]], [0, 0], class_names=("0", "1"))
-    stub = grow(ds.all_instances(), TestCostVector((1.0,)), 0.0)
-    records = tuple(
-        LambdaRecord(
-            lam=lam,
-            tree=stub,
-            train_cost=CostBreakdown.from_totals(1.0, 0.0, 1),
-            test_cost=CostBreakdown.from_totals(avg, 0.0, 1),
+        sweeps = run_competitions(
+            train, table_costs, example_mc, LambdaGrid(-1.0, 0.0, 0.5), (False, True)
         )
+        report = trial_rows(4, sweeps, test, table_costs, example_mc)
+        # by exponent, then unpruned before pruned
+        assert [(r.lam, r.pruned) for r in report] == [
+            (lam, flag) for lam in (-1.0, -0.5, 0.0) for flag in (False, True)
+        ]
+        for row in report:
+            record = sweeps[row.pruned].record_for(row.lam)
+            assert row.trial == 4
+            assert row.train_average == record.train_cost.average
+            assert row.test_average == average_cost(
+                record.tree, test, table_costs, example_mc
+            ).average
+            assert row.tree_nodes == record.tree.node_count()
+            assert (row.reduction is None) == (not row.pruned)
+
+
+def _rows(trial, test_averages, pruned=False):
+    """Hand-made report rows of one trial, one per (exponent, test average)."""
+    return [
+        TrialReportRow(trial, lam, pruned, train_average=1.0, test_average=avg, tree_nodes=1)
         for lam, avg in test_averages
-    )
-    return SweepResult(records=records, winner_lambda=records[-1].lam, winner_tree=stub)
+    ]
+
+
+def _win_counts(rows):
+    return report_summary(rows)["modes"]["unpruned"]["win_counts"]
 
 
 class TestWinCounts:
+    """report_summary's win counts: how often each exponent's tree reaches
+    the minimal test cost of a trial."""
+
     def test_unique_minimum(self):
-        sweeps = [
-            _fake_sweep([(-1.0, 5.0), (-0.5, 3.0), (0.0, 4.0)]),
-            _fake_sweep([(-1.0, 2.0), (-0.5, 3.0), (0.0, 4.0)]),
-        ]
-        assert win_counts(sweeps) == {-1.0: 1, -0.5: 1, 0.0: 0}
+        rows = _rows(0, [(-1.0, 5.0), (-0.5, 3.0), (0.0, 4.0)]) + _rows(
+            1, [(-1.0, 2.0), (-0.5, 3.0), (0.0, 4.0)]
+        )
+        assert _win_counts(rows) == {"-1.0": 1, "-0.5": 1, "0.0": 0}
 
     def test_ties_credit_everyone_at_the_minimum(self):
-        sweeps = [_fake_sweep([(-1.0, 3.0), (-0.5, 3.0), (0.0, 9.0)])]
-        assert win_counts(sweeps) == {-1.0: 1, -0.5: 1, 0.0: 0}
+        rows = _rows(0, [(-1.0, 3.0), (-0.5, 3.0), (0.0, 9.0)])
+        assert _win_counts(rows) == {"-1.0": 1, "-0.5": 1, "0.0": 0}
 
     def test_counts_can_exceed_sweep_count(self):
-        sweeps = [
-            _fake_sweep([(-1.0, 3.0), (-0.5, 3.0), (0.0, 3.0)]),
-            _fake_sweep([(-1.0, 1.0), (-0.5, 1.0), (0.0, 2.0)]),
-        ]
-        counts = win_counts(sweeps)
-        assert sum(counts.values()) == 5
+        rows = _rows(0, [(-1.0, 3.0), (-0.5, 3.0), (0.0, 3.0)]) + _rows(
+            1, [(-1.0, 1.0), (-0.5, 1.0), (0.0, 2.0)]
+        )
+        assert sum(_win_counts(rows).values()) == 5
 
     def test_mismatched_grids_rejected(self):
-        sweeps = [
-            _fake_sweep([(-1.0, 3.0), (0.0, 4.0)]),
-            _fake_sweep([(-2.0, 3.0), (0.0, 4.0)]),
-        ]
-        with pytest.raises(ValueError, match="share one exponent grid"):
-            win_counts(sweeps)
+        rows = _rows(0, [(-1.0, 3.0), (0.0, 4.0)]) + _rows(1, [(-2.0, 3.0), (0.0, 4.0)])
+        with pytest.raises(ValueError, match="cover every trial and exponent"):
+            report_summary(rows)
 
-    def test_missing_test_cost_rejected(self, sample, table_costs, example_mc):
-        unscored = run_competition(
-            sample.all_instances(), table_costs, example_mc, LambdaGrid(-1.0, 0.0, 1.0)
+    def test_missing_test_cost_rejected(self):
+        # the pruned competition of trial 1 has no test cost at -1
+        rows = (
+            _rows(0, [(-1.0, 3.0), (0.0, 4.0)])
+            + _rows(0, [(-1.0, 3.0), (0.0, 4.0)], pruned=True)
+            + _rows(1, [(-1.0, 3.0), (0.0, 4.0)])
+            + _rows(1, [(0.0, 4.0)], pruned=True)
         )
-        with pytest.raises(ValueError, match="with_test_costs"):
-            win_counts([unscored])
+        with pytest.raises(ValueError, match="cover every trial and exponent"):
+            report_summary(rows)
 
     def test_empty_input_rejected(self):
-        with pytest.raises(ValueError, match="at least one sweep"):
-            win_counts([])
+        with pytest.raises(ValueError, match="at least one row"):
+            report_summary([])

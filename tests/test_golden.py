@@ -1,11 +1,14 @@
-"""CLI outputs reproduced byte for byte from recorded golden files.
+"""CLI outputs and grown trees reproduced byte for byte from recorded
+golden files.
 
-Each case runs ``cstree.cli.main`` with every report flag it accepts and
+Each CLI case runs ``cstree.cli.main`` with every report flag it accepts and
 compares stdout, ``--out-csv``, ``--out-json`` and ``--tree-out`` against
 ``tests/assets/golden/<case>/``. Tree files are compared after a compact
 re-dump of the recorded JSON, so a tree recorded with indentation still
 pins every node, threshold and histogram while the written file must be
-compact.
+compact. The trees under ``tests/assets/golden/build_tree/`` come
+straight from ``build_tree`` at several exponents, grown with and without
+one split cache shared across those exponents.
 
 The inputs are the bundled 24-row sample and ``synthetic_300x6.csv``, a
 seeded 300x6 three-class table that ``_write_synthetic_table`` writes.
@@ -27,6 +30,9 @@ import numpy as np
 import pytest
 
 from cstree.cli import main
+from cstree.costs import load_cost_file
+from cstree.data import load_csv
+from cstree.tree import build_tree, serialize
 
 ASSETS = Path(__file__).parent / "assets"
 GOLDEN = ASSETS / "golden"
@@ -84,6 +90,11 @@ CASES = {
 }
 FILES = {"--out-csv": "out.csv", "--out-json": "out.json", "--tree-out": "tree.json"}
 
+# build_tree goldens: input name -> (data CSV, cost file whose test costs are used)
+TREES = GOLDEN / "build_tree"
+TREE_INPUTS = {"sample": (SAMPLE, SAMPLE_COSTS), "table": (TABLE, TABLE_COSTS)}
+TREE_LAMBDAS = (-4.0, -2.0, -1.0, 0.0)
+
 
 def _run_case(name: str, out_dir: Path) -> dict[str, bytes]:
     """Run one case writing into out_dir; returns file name -> bytes."""
@@ -115,6 +126,25 @@ def test_outputs_match_golden(name, tmp_path):
         assert data == expected, f"{name}/{file_name} differs from the golden file"
 
 
+def _grown_trees(name: str, cache: dict | None) -> dict[str, bytes]:
+    """Serialized trees of one input at every TREE_LAMBDAS exponent, in
+    order, all grown on ``cache``; file name -> bytes."""
+    data_path, costs_path = TREE_INPUTS[name]
+    rows = load_csv(data_path).all_instances()
+    tc, _ = load_cost_file(costs_path)
+    return {
+        f"{name}_lam{lam:g}.json": serialize(build_tree(rows, tc, lam, cache=cache)).encode()
+        for lam in TREE_LAMBDAS
+    }
+
+
+@pytest.mark.parametrize("shared_cache", [False, True])
+@pytest.mark.parametrize("name", sorted(TREE_INPUTS))
+def test_build_tree_matches_golden(name, shared_cache):
+    for file_name, data in _grown_trees(name, {} if shared_cache else None).items():
+        assert data == (TREES / file_name).read_bytes(), f"{file_name} differs"
+
+
 def _write_synthetic_table(path: Path) -> None:
     """300 rows, 6 columns N(50, 10^2) at one decimal, three classes in
     mostly axis-aligned bands with 10% of labels redrawn at random."""
@@ -141,6 +171,11 @@ def _record() -> None:
         for file_name, data in _run_case(name, case_dir).items():
             (case_dir / file_name).write_bytes(data)
         print(f"recorded {name}")
+    TREES.mkdir(exist_ok=True)
+    for name in sorted(TREE_INPUTS):
+        for file_name, data in _grown_trees(name, None).items():
+            (TREES / file_name).write_bytes(data)
+        print(f"recorded build_tree {name}")
 
 
 if __name__ == "__main__":

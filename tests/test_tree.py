@@ -22,14 +22,10 @@ from cstree.tree import (
     attach_instances,
     best_split,
     build_tree,
-    candidate_thresholds,
     classify,
     deserialize,
     entropy,
-    gain_ratio,
     serialize,
-    split_heuristic,
-    split_statistics,
     structural_equal,
 )
 
@@ -76,97 +72,143 @@ class TestEntropy:
             entropy(bad)
 
 
+def only_split(ds, cost=1.0, lam=0.0, tested=frozenset(), min_leaf_size=2):
+    """best_split of every row of a one-attribute table."""
+    return best_split(ds.all_instances(), TestCostVector((cost,)), lam, tested, min_leaf_size)
+
+
+def assert_matches_oracle(ds, chosen, min_leaf=2):
+    """best_split at exponent 0 agrees with the exhaustive oracle scan."""
+    table = (ds.features.tolist(), ds.labels.tolist(), ds.num_classes)
+    expected = oracles.best_gain_ratio_split(*table, min_leaf)
+    # only a rounding-level gain may separate a split from none at all
+    if expected is None:
+        assert chosen is None or chosen.gain_ratio <= 1e-9
+    elif chosen is None:
+        assert expected[0] <= 1e-9
+    else:
+        assert chosen.heuristic_value == chosen.gain_ratio
+        assert chosen.gain_ratio == pytest.approx(expected[0], rel=1e-12)
+        if (chosen.attribute, chosen.threshold) != (expected[1], expected[2]):
+            # a near tie: the oracle scores the other choice the same
+            theirs = oracles.split_gain_ratio(*table, chosen.attribute, chosen.threshold, min_leaf)
+            assert theirs == pytest.approx(expected[0], rel=1e-12)
+
+
 class TestSplitStatistics:
+    """Gain ratios of best_split's choice, checked against tests/oracles.py."""
+
     def test_sample_root_partition(self, sample):
-        gain, split_info = split_statistics(sample.all_instances(), 1, 125.5)
-        assert split_info == pytest.approx(ENTROPY_15_9, abs=1e-15)
+        # the fixture tree's root test, attribute 1 <= 125.5, as the one
+        # possible split of a two-valued column: 13/2 left, 2/7 right
+        column = (sample.features[:, [1]] > 125.5).astype(float)
+        ds = Dataset.from_arrays(column, sample.labels, class_names=sample.class_names)
+        chosen = only_split(ds)
+        assert chosen.threshold == 0.5
         left_h = oracles.entropy_bits([13, 2])
         right_h = oracles.entropy_bits([2, 7])
-        expected = ENTROPY_15_9 - (15 / 24) * left_h - (9 / 24) * right_h
-        assert gain == pytest.approx(expected, abs=1e-12)
+        gain = ENTROPY_15_9 - (15 / 24) * left_h - (9 / 24) * right_h
+        assert chosen.gain_ratio == pytest.approx(gain / ENTROPY_15_9, abs=1e-12)
+        # the sample's own root split is the oracle's best
+        root = best_split(sample.all_instances(), TestCostVector((1,) * 8), 0.0)
+        assert_matches_oracle(sample, root)
 
     def test_identical_child_distributions(self):
+        # the one admissible threshold leaves both halves half-and-half
         ds = two_class([[1], [2], [3], [4]], [0, 1, 0, 1])
-        gain, _ = split_statistics(ds.all_instances(), 0, 2.5)
-        assert gain == 0.0
-        assert gain_ratio(ds.all_instances(), 0, 2.5) == 0.0
+        assert only_split(ds) is None
+        assert oracles.best_gain_ratio_split(ds.features.tolist(), ds.labels.tolist(), 2) is None
 
     def test_pure_children_gain_everything(self):
         ds = two_class([[1], [2], [3], [4]], [0, 0, 1, 1])
-        subset = ds.all_instances()
-        gain, split_info = split_statistics(subset, 0, 2.5)
-        assert gain == pytest.approx(entropy((2, 2)), abs=1e-15)
-        assert gain_ratio(subset, 0, 2.5) == pytest.approx(gain / split_info, abs=1e-15)
+        chosen = only_split(ds)
+        assert chosen.threshold == 2.5
+        # gain entropy((2, 2)) over split information entropy((2, 2))
+        assert chosen.gain_ratio == pytest.approx(1.0, abs=1e-15)
+        assert_matches_oracle(ds, chosen)
 
     def test_one_sided_threshold_rejected(self):
+        # only boundaries between distinct values are scanned, so every
+        # candidate leaves a row on each side
         ds = two_class([[1], [2]], [0, 1])
-        with pytest.raises(ValueError, match="each side"):
-            split_statistics(ds.all_instances(), 0, 5.0)
+        chosen = only_split(ds, min_leaf_size=1)
+        assert chosen.threshold == 1.5
+        left, right = ds.all_instances().partition(0, chosen.threshold)
+        assert len(left) == len(right) == 1
+        assert only_split(ds, min_leaf_size=2) is None
 
     def test_gain_never_negative(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             ds = support.random_dataset(rng, max_rows=20, max_attrs=2)
-            subset = ds.all_instances()
-            for threshold in candidate_thresholds(subset, 0):
-                gain, _ = split_statistics(subset, 0, threshold)
-                assert gain >= 0.0
-                assert gain <= entropy(subset.class_histogram()) + 1e-12
+            tc = TestCostVector((1.0,) * ds.num_attributes)
+            chosen = best_split(ds.all_instances(), tc, 0.0)
+            assert chosen is None or chosen.gain_ratio > 0.0
+            assert_matches_oracle(ds, chosen)
 
 
 class TestCandidateThresholds:
+    """best_split's thresholds are midpoints strictly between distinct
+    neighbouring values, as the oracle enumerates them."""
+
     def test_midpoints(self):
-        ds = two_class([[1], [2], [4]], [0, 1, 0])
-        assert candidate_thresholds(ds.all_instances(), 0) == [1.5, 3.0]
+        assert only_split(two_class([[1], [2], [4]], [0, 1, 1]), min_leaf_size=1).threshold == 1.5
+        assert only_split(two_class([[1], [2], [4]], [0, 0, 1]), min_leaf_size=1).threshold == 3.0
 
     def test_constant_column(self):
-        ds = two_class([[7], [7], [7]], [0, 1, 0])
-        assert candidate_thresholds(ds.all_instances(), 0) == []
+        assert only_split(two_class([[7], [7], [7]], [0, 1, 0]), min_leaf_size=1) is None
 
     def test_close_fractional_values(self):
-        ds = two_class([[0.153], [0.165]], [0, 1])
-        (mid,) = candidate_thresholds(ds.all_instances(), 0)
-        assert mid == pytest.approx(0.159, abs=1e-12)
+        chosen = only_split(two_class([[0.153], [0.165]], [0, 1]), min_leaf_size=1)
+        assert chosen.threshold == pytest.approx(0.159, abs=1e-12)
 
     def test_empty_subset_rejected(self, sample):
         from cstree.data import InstanceSubset
 
         empty = InstanceSubset(sample, np.array([], dtype=np.int64))
-        with pytest.raises(ValueError):
-            candidate_thresholds(empty, 0)
+        assert best_split(empty, TestCostVector((1,) * 8), 0.0, min_leaf_size=1) is None
+        with pytest.raises(ValueError, match="empty"):
+            build_tree(empty, TestCostVector((1,) * 8), 0.0)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(0, 30), min_size=2, max_size=15))
     def test_strictly_between_neighbours(self, raw):
         values = [float(v) for v in raw]
         ds = two_class([[v] for v in values], [i % 2 for i in range(len(values))])
-        mids = candidate_thresholds(ds.all_instances(), 0)
-        distinct = sorted(set(values))
-        assert len(mids) == len(distinct) - 1
-        for low, high, mid in zip(distinct, distinct[1:], mids):
-            assert low <= mid < high
-            left = [v for v in values if v <= mid]
-            right = [v for v in values if v > mid]
-            assert left and right
+        chosen = only_split(ds, min_leaf_size=1)
+        assert_matches_oracle(ds, chosen, min_leaf=1)
+        if chosen is not None:
+            distinct = sorted(set(values))
+            mids = [(low + high) / 2.0 for low, high in zip(distinct, distinct[1:])]
+            assert chosen.threshold in mids
 
 
 class TestSplitHeuristic:
+    """best_split scores a split as gain ratio times cost ** lambda, and a
+    re-tested attribute with weight 1."""
+
+    PURE = ([[1], [2], [3], [4]], [0, 0, 1, 1])  # gain ratio 1 at 2.5
+
     def test_punishes_expensive_attribute(self):
-        assert split_heuristic(0.4, 4.0, -2.0, False) == pytest.approx(0.025, abs=1e-15)
+        chosen = only_split(two_class(*self.PURE), cost=4.0, lam=-2.0)
+        assert chosen.heuristic_value == chosen.gain_ratio * 4.0**-2.0
+        assert chosen.heuristic_value == pytest.approx(0.0625, abs=1e-15)
 
     def test_zero_exponent_is_plain_gain_ratio(self):
-        assert split_heuristic(0.4, 4.0, 0.0, False) == 0.4
+        chosen = only_split(two_class(*self.PURE), cost=4.0, lam=0.0)
+        assert chosen.heuristic_value == chosen.gain_ratio
 
     def test_reuse_ignores_price(self):
-        assert split_heuristic(0.7, 9.0, -2.0, True) == 0.7
+        chosen = only_split(two_class(*self.PURE), cost=9.0, lam=-2.0, tested=frozenset({0}))
+        assert chosen.heuristic_value == chosen.gain_ratio
 
     def test_rejects_positive_exponent(self):
-        with pytest.raises(ValueError):
-            split_heuristic(0.4, 4.0, 0.5, False)
+        with pytest.raises(ValueError, match="zero or negative"):
+            only_split(two_class(*self.PURE), lam=0.5)
 
     def test_rejects_free_test(self):
-        with pytest.raises(ValueError):
-            split_heuristic(0.4, 0.0, -1.0, False)
+        with pytest.raises(ValueError, match="positive"):
+            TestCostVector((0.0,))
 
 
 class TestBestSplit:
@@ -240,24 +282,23 @@ class TestBestSplit:
         for _ in range(25):
             ds = support.random_dataset(rng, max_rows=30, max_attrs=4, max_classes=3)
             tc = support.random_costs(rng, ds.num_attributes)
-            chosen = best_split(ds.all_instances(), tc, 0.0)
-            expected = oracles.best_gain_ratio_split(
-                ds.features.tolist(), ds.labels.tolist(), ds.num_classes
-            )
-            if expected is None:
-                assert chosen is None or chosen.gain_ratio <= 1e-9
-            elif chosen is None:
-                assert expected[0] <= 1e-9
-            elif (chosen.attribute, chosen.threshold) != (expected[1], expected[2]):
-                # both scored the top two within rounding of each other
-                assert chosen.gain_ratio == pytest.approx(expected[0], abs=1e-9)
+            assert_matches_oracle(ds, best_split(ds.all_instances(), tc, 0.0))
+
+    def test_matches_oracle_on_larger_tables(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(12):
+            ds = support.random_dataset(rng, max_rows=200, min_rows=40, max_attrs=5)
+            min_leaf = int(rng.integers(1, 5))
+            tc = support.random_costs(rng, ds.num_attributes)
+            chosen = best_split(ds.all_instances(), tc, 0.0, min_leaf_size=min_leaf)
+            assert_matches_oracle(ds, chosen, min_leaf)
 
 
 class TestSplitCache:
     def test_near_top_keeps_neighbours_that_collapse_under_weight(self):
         top = 0.7
         below = math.nextafter(top, 0.0)
-        weight = split_heuristic(1.0, 5.0, -1.0, False)  # 5 ** -1
+        weight = 5.0**-1.0
         assert below * weight == top * weight  # one ulp apart, equal products
         masked = np.array([below, 0.1, top, top, -np.inf])
         thresholds = np.array([1.5, 2.5, 3.5, 4.5, 5.5])
