@@ -10,7 +10,7 @@ from cstree.costs import load_cost_file
 from cstree.data import load_csv
 from cstree.evaluation import average_cost
 from cstree.pruning import post_prune
-from cstree.tree import attach_instances, deserialize
+from cstree.tree import check_training_rows, deserialize
 
 ASSETS = REPO / "tests" / "assets"
 
@@ -19,16 +19,16 @@ def main() -> int:
     dataset = load_csv(ASSETS / "diabetes_sample.csv")
     tree = deserialize((ASSETS / "prune_example_tree.json").read_text(encoding="utf-8"))
     tc, mc = load_cost_file(ASSETS / "example_costs.json")
-    bound = attach_instances(tree, dataset.all_instances())
-
     rows = dataset.all_instances()
-    initial = average_cost(bound, rows, tc, mc)
-    print(f"tree: {bound.node_count()} nodes, exponent {bound.lambda_used}")
+    check_training_rows(tree, rows)
+
+    initial = average_cost(tree, rows, tc, mc)
+    print(f"tree: {tree.node_count()} nodes, exponent {tree.lambda_used}")
     print(f"test costs {tuple(int(c) for c in tc.costs)}")
     print(f"initial average cost {initial.average:.4f} over {initial.count} rows")
     print()
 
-    pruned, trace = post_prune(bound, tc, mc)
+    pruned, trace = post_prune(tree, tc, mc)
     for step, entry in enumerate(trace, start=1):
         word = "PRUNE" if entry.pruned else "keep"
         print(

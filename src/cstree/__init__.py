@@ -41,14 +41,14 @@ from .experiment import (
     write_summary_json,
     write_trace_csv,
 )
-from .pruning import PruneTraceEntry, leaf_replacement_cost, post_prune, subtree_cost
+from .pruning import PruneTraceEntry, post_prune
 from .tree import (
     DecisionTree,
     SplitCandidate,
     TreeNode,
-    attach_instances,
     best_split,
     build_tree,
+    check_training_rows,
     classify,
     deserialize,
     entropy,
@@ -75,16 +75,15 @@ __all__ = [
     "TestCostVector",
     "TreeNode",
     "TrialReportRow",
-    "attach_instances",
     "average_cost",
     "average_reduction_ratio",
     "best_split",
     "build_tree",
+    "check_training_rows",
     "classify",
     "deserialize",
     "entropy",
     "generate_test_costs",
-    "leaf_replacement_cost",
     "load_cost_file",
     "load_csv",
     "post_prune",
@@ -97,7 +96,6 @@ __all__ = [
     "serialize",
     "split_train_test",
     "structural_equal",
-    "subtree_cost",
     "total_test_cost",
     "trial_streams",
     "two_class_matrix",

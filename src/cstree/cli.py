@@ -29,7 +29,7 @@ from .experiment import (
     write_trace_csv,
 )
 from .pruning import post_prune
-from .tree import attach_instances, build_tree, deserialize, serialize
+from .tree import build_tree, check_training_rows, deserialize, serialize
 
 
 class _Parser(argparse.ArgumentParser):
@@ -267,10 +267,10 @@ def cmd_prune(args) -> None:
     tc = fixed_tc if fixed_tc is not None else tree.tc_used
     if len(tc) != dataset.num_attributes:
         raise ValueError("test cost count and attribute count differ")
-    bound = attach_instances(tree, dataset.all_instances())
     everything = dataset.all_instances()
-    initial = average_cost(bound, everything, tc, mc)
-    pruned_tree, entries = post_prune(bound, tc, mc, args.prune_on_tie)
+    check_training_rows(tree, everything)
+    initial = average_cost(tree, everything, tc, mc)
+    pruned_tree, entries = post_prune(tree, tc, mc, args.prune_on_tie)
     final = average_cost(pruned_tree, everything, tc, mc)
     for line in _mapping_lines(dataset):
         print(line)

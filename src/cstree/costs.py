@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -23,13 +24,21 @@ __all__ = [
 DISTRIBUTION_KINDS = ("uniform", "normal", "pareto")
 
 
-def _is_int(value) -> bool:
+def _is_json_int(value) -> bool:
     # JSON true/false load as bool, which Python counts as an int
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer that fits an int64 count or index."""
+    return _is_json_int(value) and -(2**63) <= value < 2**63
+
+
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    """A JSON number that fits a float; larger integers would overflow."""
+    return isinstance(value, float) or (
+        _is_json_int(value) and abs(value) <= sys.float_info.max
+    )
 
 
 @dataclass(frozen=True)

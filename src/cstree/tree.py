@@ -29,7 +29,7 @@ __all__ = [
     "classify",
     "serialize",
     "deserialize",
-    "attach_instances",
+    "check_training_rows",
     "structural_equal",
 ]
 
@@ -228,13 +228,11 @@ def best_split(
 class TreeNode:
     """One tree node; a leaf when ``attribute`` is None.
 
-    Every node remembers the training rows that reached it and their class
-    histogram. ``subset`` is None on structure-only trees read back from
-    JSON until training rows are attached.
+    ``histogram`` counts the training rows of each class that reached the
+    node; it is all that pruning needs to know about those rows.
     """
 
     histogram: np.ndarray
-    subset: InstanceSubset | None = None
     attribute: int | None = None
     threshold: float | None = None
     left: "TreeNode | None" = None
@@ -276,9 +274,7 @@ class DecisionTree:
 
 def _leaf_from(subset: InstanceSubset) -> TreeNode:
     hist = subset.class_histogram()
-    return TreeNode(
-        histogram=hist, subset=subset, predicted_class=int(np.argmax(hist))
-    )
+    return TreeNode(histogram=hist, predicted_class=int(np.argmax(hist)))
 
 
 def _grow(subset, tc, lam, tested_on_path, min_leaf_size, cache) -> TreeNode:
@@ -291,7 +287,6 @@ def _grow(subset, tc, lam, tested_on_path, min_leaf_size, cache) -> TreeNode:
     deeper = tested_on_path | {candidate.attribute}
     return TreeNode(
         histogram=subset.class_histogram(),
-        subset=subset,
         attribute=candidate.attribute,
         threshold=candidate.threshold,
         left=_grow(left, tc, lam, deeper, min_leaf_size, cache),
@@ -426,13 +421,16 @@ def _node_from_json(obj, num_attributes: int, leaf_width: list[int | None]) -> T
 def deserialize(text: str) -> DecisionTree:
     """Parse a serialized tree; malformed input raises ValueError.
 
-    The result is structure-only: nodes carry histograms but no training
-    rows until attach_instances binds a dataset.
+    The result is the same kind of tree that build_tree returns, ready to
+    classify and to prune; each internal node's histogram is the sum of
+    its children's.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError("tree JSON is nested too deeply") from None
     if not isinstance(doc, dict) or set(doc) != {"lambda", "test_costs", "root"}:
         raise ValueError("top level must be an object with lambda, test_costs, root")
     lam = doc["lambda"]
@@ -443,16 +441,19 @@ def deserialize(text: str) -> DecisionTree:
         raise ValueError("test_costs must be a list of numbers")
     tc = TestCostVector(tuple(costs))
     leaf_width: list[int | None] = [None]
-    root = _node_from_json(doc["root"], len(tc), leaf_width)
+    try:
+        # the parser's nesting limit and this walk's need not agree
+        root = _node_from_json(doc["root"], len(tc), leaf_width)
+    except RecursionError:
+        raise ValueError("tree JSON is nested too deeply") from None
     return DecisionTree(root=root, lambda_used=float(lam), tc_used=tc)
 
 
-def attach_instances(tree: DecisionTree, data: InstanceSubset) -> DecisionTree:
-    """Bind training rows to a tree by routing them through its tests.
+def check_training_rows(tree: DecisionTree, data: InstanceSubset) -> None:
+    """Raise ValueError unless ``data`` can be the tree's training rows.
 
-    Returns a new tree whose nodes carry subsets and recomputed
-    histograms. The rows must reproduce every stored leaf histogram
-    exactly; a mismatch means the data is not the tree's training data.
+    The rows are routed through the tree's tests and must reproduce every
+    stored leaf histogram exactly.
     """
     if data.dataset.num_classes != len(tree.root.histogram):
         raise ValueError(
@@ -462,28 +463,15 @@ def attach_instances(tree: DecisionTree, data: InstanceSubset) -> DecisionTree:
     if data.dataset.num_attributes != len(tree.tc_used):
         raise ValueError("data and tree disagree on the number of attributes")
 
-    def rebuild(node: TreeNode, sub: InstanceSubset) -> TreeNode:
-        hist = sub.class_histogram()
+    def check(node: TreeNode, sub: InstanceSubset) -> None:
         if node.is_leaf:
-            if list(hist) != list(node.histogram):
+            if list(sub.class_histogram()) != list(node.histogram):
                 raise ValueError(
                     "routed rows do not reproduce the stored leaf histograms"
                 )
-            return TreeNode(
-                histogram=hist, subset=sub, predicted_class=node.predicted_class
-            )
+            return
         left, right = sub.partition(node.attribute, node.threshold)
-        return TreeNode(
-            histogram=hist,
-            subset=sub,
-            attribute=node.attribute,
-            threshold=node.threshold,
-            left=rebuild(node.left, left),
-            right=rebuild(node.right, right),
-        )
+        check(node.left, left)
+        check(node.right, right)
 
-    return DecisionTree(
-        root=rebuild(tree.root, data),
-        lambda_used=tree.lambda_used,
-        tc_used=tree.tc_used,
-    )
+    check(tree.root, data)

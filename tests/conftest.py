@@ -48,7 +48,8 @@ def costs_file_path() -> Path:
 
 @pytest.fixture()
 def bound_fixture(fixture_tree_path, sample):
-    from cstree.tree import attach_instances, deserialize
+    from cstree.tree import check_training_rows, deserialize
 
     tree = deserialize(fixture_tree_path.read_text(encoding="utf-8"))
-    return attach_instances(tree, sample.all_instances())
+    check_training_rows(tree, sample.all_instances())
+    return tree

@@ -46,6 +46,45 @@ def average_cost_json(tree_text: str, rows, labels, costs, penalties):
     return test_total, penalty_total, (test_total + penalty_total) / n
 
 
+def prune_trace_json(tree_text: str, rows, labels, costs, penalties):
+    """Every internal node's keep-or-prune totals, children first.
+
+    Each row routed to a node is costed on its own. Kept, it pays the
+    distinct tests on its full root-to-leaf path plus its leaf's penalty.
+    Pruned at the node, it pays the distinct tests above the node plus the
+    penalty of the node's majority class (the lowest index on ties).
+    Returns (node_id, attribute, keep_tests, keep_penalties, prune_tests,
+    prune_penalties, count) tuples in visit order.
+    """
+    root = json.loads(tree_text)["root"]
+    entries = []
+
+    def visit(node, node_id, above, members):
+        if "leaf" in node:
+            return
+        a, t = node["attribute"], node["threshold"]
+        deeper = above | {a}
+        visit(node["left"], node_id + ".left", deeper, [i for i in members if rows[i][a] <= t])
+        visit(node["right"], node_id + ".right", deeper, [i for i in members if rows[i][a] > t])
+        hist = _histogram([labels[i] for i in members], len(penalties))
+        majority = hist.index(max(hist))
+        keep_tests = keep_penalties = prune_tests = prune_penalties = 0.0
+        for i in members:
+            predicted, attrs = classify_json(root, rows[i])
+            for b in sorted(attrs):
+                keep_tests += costs[b]
+            keep_penalties += penalties[labels[i]][predicted]
+            for b in sorted(above):
+                prune_tests += costs[b]
+            prune_penalties += penalties[labels[i]][majority]
+        entries.append(
+            (node_id, a, keep_tests, keep_penalties, prune_tests, prune_penalties, len(members))
+        )
+
+    visit(root, "root", set(), list(range(len(labels))))
+    return entries
+
+
 def _histogram(labels, k):
     h = [0] * k
     for label in labels:

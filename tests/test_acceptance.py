@@ -19,7 +19,7 @@ from cstree.costs import MisclassificationMatrix, TestCostVector
 from cstree.data import Dataset, split_train_test
 from cstree.evaluation import average_cost, average_reduction_ratio, reduction_ratio
 from cstree.experiment import ExperimentConfig, run_experiment
-from cstree.pruning import leaf_replacement_cost, post_prune
+from cstree.pruning import post_prune
 from cstree.tree import (
     best_split,
     build_tree,
@@ -119,20 +119,19 @@ class TestWalkthrough:
             )
             assert abs(initial.average - 8.375) <= 1e-9 * 8.375
 
-            replaced = leaf_replacement_cost(
-                bound_fixture, bound_fixture.root.left, table_costs, example_mc
-            )
+            pruned, trace = post_prune(bound_fixture, table_costs, example_mc)
+            by_node = {e.node_id: e for e in trace}
+            replaced = by_node["root.left"].cost_prune
             assert replaced.average == pytest.approx(7.667, abs=0.005)
 
             # the pruned tree realizes that figure on the replaced rows
-            pruned, _ = post_prune(bound_fixture, table_costs, example_mc)
-            fifteen = bound_fixture.root.left.subset
+            root = bound_fixture.root
+            fifteen, _ = sample.all_instances().partition(root.attribute, root.threshold)
+            assert len(fifteen) == 15
             realized = average_cost(pruned, fifteen, table_costs, example_mc)
             assert realized.average == pytest.approx(7.667, abs=0.005)
 
-            stumped = leaf_replacement_cost(
-                bound_fixture, bound_fixture.root, table_costs, example_mc
-            )
+            stumped = by_node["root"].cost_prune
             assert stumped.average == 18.75
 
     def test_reduction_ratio_worked_examples(self):

@@ -25,6 +25,16 @@ IGNORED_FLAGS = [
 ]
 
 
+def deep_tree_json(depth):
+    """Tree JSON of valid shape whose left spine is ``depth`` splits long."""
+    leaf = '{"leaf":0,"histogram":[1,0]}'
+    split = '{"attribute":0,"threshold":0.5,"left":'
+    return (
+        '{"lambda":-1.0,"test_costs":[1,1,1,1,1,1,1,1],"root":'
+        + split * depth + leaf + (',"right":' + leaf + "}") * depth + "}"
+    )
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -339,15 +349,24 @@ class TestExitCodes:
             (lambda d: d["root"].update(threshold=True), "threshold"),
             (lambda d: d["root"]["right"]["right"].update(leaf=True), "leaf class"),
             (lambda d: d["root"]["right"]["right"].update(histogram=[False, 7]), "histogram"),
+            # integers too large for a float or an int64
+            (lambda d: d["root"].update(threshold=10**400), "threshold must be a finite number"),
+            (lambda d: d.update({"lambda": -(10**400)}), "lambda"),
+            (
+                lambda d: d["root"]["right"]["right"].update(histogram=[0, 2**63]),
+                "leaf histogram must be a list of nonnegative integers",
+            ),
+            # a text replacing the document, too deep for json.dumps to write
+            (lambda d: deep_tree_json(5000), "tree JSON is nested too deeply"),
         ],
     )
     def test_malformed_tree_json(
         self, capsys, sample_path, fixture_tree_path, tmp_path, mutate, message
     ):
         doc = json.loads(fixture_tree_path.read_text(encoding="utf-8"))
-        mutate(doc)
+        text = mutate(doc) or json.dumps(doc)
         fixture = tmp_path / "tree.json"
-        fixture.write_text(json.dumps(doc), encoding="utf-8")
+        fixture.write_text(text, encoding="utf-8")
         code, _, err = run(
             capsys, "prune", "--fixture", str(fixture), "--data", str(sample_path)
         )
@@ -363,6 +382,8 @@ class TestExitCodes:
             ({"mc_matrix": [[0, True], [1, 0]]}, "mc_matrix"),
             ({"mc_matrix": [[0, None], [1, 0]]}, "mc_matrix"),
             ({"mc_matrix": [[0, "5"], [1, 0]]}, "mc_matrix"),
+            ({"test_costs": [10**400] + [1] * 7}, "test_costs"),
+            ({"mc_matrix": [[0, 10**400], [1, 0]]}, "mc_matrix"),
         ],
     )
     def test_malformed_cost_file(self, capsys, sample_path, tmp_path, doc, message):

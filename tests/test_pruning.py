@@ -3,18 +3,13 @@
 import numpy as np
 import pytest
 
+import oracles
 import support
-from cstree.costs import TestCostVector, two_class_matrix
+from cstree.costs import MisclassificationMatrix, TestCostVector, two_class_matrix
 from cstree.data import Dataset
 from cstree.evaluation import average_cost
-from cstree.pruning import (
-    PruneTraceEntry,
-    leaf_replacement_cost,
-    post_prune,
-    subtree_cost,
-)
+from cstree.pruning import PruneTraceEntry, post_prune
 from cstree.tree import (
-    TreeNode,
     build_tree,
     deserialize,
     serialize,
@@ -22,81 +17,80 @@ from cstree.tree import (
 )
 
 
+@pytest.fixture()
+def fixture_entries(bound_fixture, table_costs, example_mc):
+    """The fixture tree's post_prune trace entries by node id."""
+    _, trace = post_prune(bound_fixture, table_costs, example_mc)
+    return {e.node_id: e for e in trace}
+
+
 class TestSubtreeCost:
-    def test_left_branch_full_path_charging(self, bound_fixture, table_costs, example_mc):
-        node = bound_fixture.root.left
-        b = subtree_cost(bound_fixture, node, table_costs, example_mc)
+    """Keep costs: each row pays the distinct tests on its full path."""
+
+    def test_left_branch_full_path_charging(self, fixture_entries):
+        b = fixture_entries["root.left"].cost_keep
         assert b.test_cost_total == 120.0
         assert b.misclassification_total == 0.0
         assert b.average == 8.0
         assert b.count == 15
 
-    def test_retested_attribute_charged_once(self, bound_fixture, table_costs, example_mc):
+    def test_retested_attribute_charged_once(self, fixture_entries):
         # this subtree re-tests the root attribute, so its rows pay for
         # two distinct tests, not three
-        node = bound_fixture.root.left.right
-        b = subtree_cost(bound_fixture, node, table_costs, example_mc)
+        b = fixture_entries["root.left.right"].cost_keep
         assert b.test_cost_total == 48.0
         assert b.average == 8.0
         assert b.count == 6
 
-    def test_right_branch(self, bound_fixture, table_costs, example_mc):
-        b = subtree_cost(bound_fixture, bound_fixture.root.right, table_costs, example_mc)
+    def test_right_branch(self, fixture_entries):
+        b = fixture_entries["root.right"].cost_keep
         assert b.test_cost_total == 81.0
         assert b.average == 9.0
         assert b.count == 9
 
-    def test_root_matches_average_cost(self, bound_fixture, sample, table_costs, example_mc):
-        via_node = subtree_cost(bound_fixture, bound_fixture.root, table_costs, example_mc)
+    def test_root_matches_average_cost(
+        self, bound_fixture, fixture_entries, sample, table_costs, example_mc
+    ):
+        via_node = fixture_entries["root"].cost_keep
         via_rows = average_cost(bound_fixture, sample.all_instances(), table_costs, example_mc)
         assert via_node == via_rows
         assert via_node.average == 8.375
 
-    def test_leaf_is_costed_too(self, bound_fixture, table_costs, example_mc):
-        leaf = bound_fixture.root.left.left
-        b = subtree_cost(bound_fixture, leaf, table_costs, example_mc)
-        assert b.test_cost_total == 72.0
-        assert b.misclassification_total == 0.0
-        assert b.count == 9
-
-    def test_foreign_node_rejected(self, bound_fixture, table_costs, example_mc):
-        stray = TreeNode(histogram=np.array([1, 1]), predicted_class=0)
-        with pytest.raises(ValueError, match="does not belong"):
-            subtree_cost(bound_fixture, stray, table_costs, example_mc)
-
-    def test_unbound_tree_rejected(self, fixture_tree_path, table_costs, example_mc):
-        bare = deserialize(fixture_tree_path.read_text(encoding="utf-8"))
-        with pytest.raises(ValueError, match="attach_instances"):
-            subtree_cost(bare, bare.root, table_costs, example_mc)
+    def test_leaf_is_costed_too(self, fixture_entries):
+        # the leaf root.left.left holds what root.left's keep cost has
+        # beyond its other child root.left.right
+        whole = fixture_entries["root.left"].cost_keep
+        other = fixture_entries["root.left.right"].cost_keep
+        assert whole.test_cost_total - other.test_cost_total == 72.0
+        assert whole.misclassification_total - other.misclassification_total == 0.0
+        assert whole.count - other.count == 9
 
 
 class TestLeafReplacementCost:
-    def test_mid_tree_replacement(self, bound_fixture, table_costs, example_mc):
-        b = leaf_replacement_cost(
-            bound_fixture, bound_fixture.root.left, table_costs, example_mc
-        )
+    """Prune costs: only the tests above the node, plus overruled rows."""
+
+    def test_mid_tree_replacement(self, fixture_entries):
+        b = fixture_entries["root.left"].cost_prune
         assert b.test_cost_total == 15.0
         assert b.misclassification_total == 100.0
         assert b.average == 115.0 / 15.0
         assert b.average == pytest.approx(7.667, abs=0.005)
 
-    def test_deep_replacement_keeps_path_tests(self, bound_fixture, table_costs, example_mc):
-        b = leaf_replacement_cost(
-            bound_fixture, bound_fixture.root.left.right, table_costs, example_mc
-        )
+    def test_deep_replacement_keeps_path_tests(self, fixture_entries):
+        b = fixture_entries["root.left.right"].cost_prune
         assert b.test_cost_total == 48.0
         assert b.misclassification_total == 100.0
         assert b.average == 148.0 / 6.0
         assert b.average == pytest.approx(24.67, abs=0.005)
 
-    def test_root_replacement_pays_no_tests(self, bound_fixture, table_costs, example_mc):
-        b = leaf_replacement_cost(bound_fixture, bound_fixture.root, table_costs, example_mc)
+    def test_root_replacement_pays_no_tests(self, fixture_entries):
+        b = fixture_entries["root"].cost_prune
         assert b.test_cost_total == 0.0
         assert b.misclassification_total == 450.0
         assert b.average == 18.75
 
-    def test_minority_heavy_node(self, bound_fixture, table_costs, example_mc):
-        b = leaf_replacement_cost(bound_fixture, bound_fixture.root.right, table_costs, example_mc)
+    def test_minority_heavy_node(self, fixture_entries):
+        b = fixture_entries["root.right"].cost_prune
         assert b.test_cost_total == 9.0
         assert b.misclassification_total == 1000.0
         assert b.average == 1009.0 / 9.0
@@ -178,10 +172,10 @@ class TestPostPrune:
         assert cut.root.is_leaf
         assert cut.root.predicted_class == 0
 
-    def test_unbound_tree_rejected(self, fixture_tree_path, table_costs, example_mc):
-        bare = deserialize(fixture_tree_path.read_text(encoding="utf-8"))
-        with pytest.raises(ValueError, match="attach_instances"):
-            post_prune(bare, table_costs, example_mc)
+    def test_matrix_class_count_must_match_histograms(self, bound_fixture, table_costs):
+        three = MisclassificationMatrix(((0, 1, 1), (1, 0, 1), (1, 1, 0)))
+        with pytest.raises(ValueError, match="matrix classes and dataset classes differ"):
+            post_prune(bound_fixture, table_costs, three)
 
     def test_wrong_cost_arity_rejected(self, bound_fixture, example_mc):
         with pytest.raises(ValueError, match="one test cost per attribute"):
@@ -205,6 +199,40 @@ class TestPostPrune:
             again, second_trace = post_prune(pruned, tc, mc)
             assert structural_equal(again, pruned)
             assert not any(e.pruned for e in second_trace)
+
+    def test_trace_matches_per_row_oracle(self):
+        # integer costs and penalties keep every total exact, so the
+        # figures read off the histograms must equal per-row sums exactly
+        rng = np.random.default_rng(29)
+        decisions = set()
+        for _ in range(40):
+            ds = support.random_dataset(rng)
+            tc = support.random_costs(rng, ds.num_attributes)
+            mc = support.random_matrix(rng, ds.num_classes)
+            lam = float(rng.choice([-4.0, -2.0, -0.5, 0.0]))
+            on_tie = bool(rng.integers(2))
+            grown = build_tree(ds.all_instances(), tc, lam, int(rng.integers(1, 4)))
+            text = serialize(grown)
+            _, trace = post_prune(deserialize(text), tc, mc, on_tie)
+            assert trace == post_prune(grown, tc, mc, on_tie)[1]
+
+            want = oracles.prune_trace_json(
+                text, ds.features.tolist(), ds.labels.tolist(), tc.costs, mc.rows
+            )
+            assert [e.node_id for e in trace] == [w[0] for w in want]
+            for entry, (_, attribute, kt, kp, pt, pp, n) in zip(trace, want):
+                keep, prune = entry.cost_keep, entry.cost_prune
+                assert entry.attribute == attribute
+                assert entry.instance_count == keep.count == prune.count == n
+                assert (keep.test_cost_total, keep.misclassification_total) == (kt, kp)
+                assert (prune.test_cost_total, prune.misclassification_total) == (pt, pp)
+                assert (keep.average, prune.average) == ((kt + kp) / n, (pt + pp) / n)
+                decision = prune.average < keep.average or (
+                    on_tie and prune.average == keep.average
+                )
+                assert entry.pruned == decision
+                decisions.add(decision)
+        assert decisions == {False, True}
 
     def test_pruned_tree_is_never_larger(self):
         rng = np.random.default_rng(13)

@@ -19,9 +19,9 @@ from cstree.tree import (
     MIN_SPLIT_INFO,
     DecisionTree,
     TreeNode,
-    attach_instances,
     best_split,
     build_tree,
+    check_training_rows,
     classify,
     deserialize,
     entropy,
@@ -348,19 +348,21 @@ class TestSplitCache:
         )
         cache: dict = {}
 
-        def walk(node, lam, path):
-            args = (node.subset, tc, lam, path, min_leaf)
+        def walk(node, rows, lam, path):
+            args = (rows, tc, lam, path, min_leaf)
             alone = best_split(*args)
             assert best_split(*args, cache=cache) == alone
             if node.is_leaf:
                 assert alone is None
                 return
             assert (node.attribute, node.threshold) == (alone.attribute, alone.threshold)
-            walk(node.left, lam, path | {node.attribute})
-            walk(node.right, lam, path | {node.attribute})
+            left, right = rows.partition(node.attribute, node.threshold)
+            walk(node.left, left, lam, path | {node.attribute})
+            walk(node.right, right, lam, path | {node.attribute})
 
+        rows = ds.all_instances()
         for lam in LambdaGrid().values():
-            walk(build_tree(ds.all_instances(), tc, lam, min_leaf, cache).root, lam, frozenset())
+            walk(build_tree(rows, tc, lam, min_leaf, cache).root, rows, lam, frozenset())
 
 
 class TestBuildTree:
@@ -397,19 +399,20 @@ class TestBuildTree:
             tree = build_tree(ds.all_instances(), tc, lam)
             seen = []
 
-            def walk(node):
+            def walk(node, rows):
                 if node.is_leaf:
-                    seen.extend(node.subset.indices.tolist())
-                    assert node.histogram.tolist() == node.subset.class_histogram().tolist()
-                    assert int(node.histogram.sum()) == len(node.subset)
+                    seen.extend(rows.indices.tolist())
+                    assert node.histogram.tolist() == rows.class_histogram().tolist()
+                    assert int(node.histogram.sum()) == len(rows)
                 else:
                     assert node.histogram.tolist() == (
                         node.left.histogram + node.right.histogram
                     ).tolist()
-                    walk(node.left)
-                    walk(node.right)
+                    left, right = rows.partition(node.attribute, node.threshold)
+                    walk(node.left, left)
+                    walk(node.right, right)
 
-            walk(tree.root)
+            walk(tree.root, ds.all_instances())
             assert sorted(seen) == list(range(ds.num_instances))
 
     def test_unit_costs_make_exponent_irrelevant(self):
@@ -570,14 +573,26 @@ class TestSerialization:
 
 
 class TestAttachInstances:
-    def test_binds_fixture_partitions(self, bound_fixture):
-        root = bound_fixture.root
-        assert len(root.subset) == 24
-        assert len(root.left.left.subset) == 9
-        assert len(root.left.right.left.subset) == 4
-        assert len(root.left.right.right.subset) == 2
-        assert len(root.right.left.subset) == 2
-        assert len(root.right.right.subset) == 7
+    """check_training_rows: do these rows reproduce a stored tree?"""
+
+    def test_binds_fixture_partitions(self, bound_fixture, sample):
+        sizes = {}
+
+        def walk(node, rows, node_id):
+            sizes[node_id] = len(rows)
+            assert int(node.histogram.sum()) == len(rows)
+            if not node.is_leaf:
+                left, right = rows.partition(node.attribute, node.threshold)
+                walk(node.left, left, node_id + ".left")
+                walk(node.right, right, node_id + ".right")
+
+        walk(bound_fixture.root, sample.all_instances(), "root")
+        assert sizes["root"] == 24
+        assert sizes["root.left.left"] == 9
+        assert sizes["root.left.right.left"] == 4
+        assert sizes["root.left.right.right"] == 2
+        assert sizes["root.right.left"] == 2
+        assert sizes["root.right.right"] == 7
 
     def test_rejects_rows_that_do_not_reproduce_histograms(
         self, fixture_tree_path, sample
@@ -590,13 +605,13 @@ class TestAttachInstances:
             sample.class_names,
         )
         with pytest.raises(ValueError, match="histograms"):
-            attach_instances(tree, flipped.all_instances())
+            check_training_rows(tree, flipped.all_instances())
 
     def test_rejects_wrong_attribute_count(self, fixture_tree_path):
         tree = deserialize(fixture_tree_path.read_text(encoding="utf-8"))
         ds = two_class([[1.0], [2.0]], [0, 1])
         with pytest.raises(ValueError, match="number of attributes"):
-            attach_instances(tree, ds.all_instances())
+            check_training_rows(tree, ds.all_instances())
 
     def test_rejects_wrong_class_count(self, fixture_tree_path):
         tree = deserialize(fixture_tree_path.read_text(encoding="utf-8"))
@@ -604,4 +619,4 @@ class TestAttachInstances:
             np.zeros((3, 8)), [0, 1, 2], class_names=("a", "b", "c")
         )
         with pytest.raises(ValueError, match="classes"):
-            attach_instances(tree, ds.all_instances())
+            check_training_rows(tree, ds.all_instances())
