@@ -41,6 +41,19 @@ def _is_number(value) -> bool:
     )
 
 
+def _sum_in_order(values) -> float:
+    """Float sum added strictly left to right from 0.0.
+
+    Report bytes depend on the order of float additions. The built-in
+    sum() compensates float sums from Python 3.12 on, so it is not used
+    where a sum reaches an output.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass(frozen=True)
 class TestCostVector:
     """One strictly positive acquisition cost per attribute."""
@@ -74,8 +87,7 @@ class TestCostVector:
 
 def total_test_cost(tc: TestCostVector, attributes: Iterable[int]) -> float:
     """Sum of costs over the distinct attributes; each is charged once."""
-    distinct = sorted(set(attributes))
-    return float(sum(tc.cost(a) for a in distinct))
+    return _sum_in_order(tc.cost(a) for a in sorted(set(attributes)))
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .costs import MisclassificationMatrix, TestCostVector, total_test_cost
+import numpy as np
+
+from .costs import MisclassificationMatrix, TestCostVector, _sum_in_order, total_test_cost
 from .data import InstanceSubset
-from .tree import DecisionTree, classify
+from .tree import DecisionTree
 
 __all__ = [
     "CostBreakdown",
@@ -37,6 +39,12 @@ class CostBreakdown:
         )
 
 
+def _total_in_order(per_row: np.ndarray) -> float:
+    # cumsum adds left to right like a loop from 0.0; np.sum would pair
+    # terms up. The final + 0.0 turns a -0.0 sum into the loop's 0.0.
+    return float(np.cumsum(per_row)[-1]) + 0.0
+
+
 def average_cost(
     tree: DecisionTree,
     data: InstanceSubset,
@@ -44,20 +52,43 @@ def average_cost(
     mc: MisclassificationMatrix,
 ) -> CostBreakdown:
     """Mean cost of classifying each row: distinct tests on its path plus
-    the penalty of its predicted against its true class."""
+    the penalty of its predicted against its true class.
+
+    The rows are routed down the tree as whole arrays, one mask per
+    internal node, and each row's costs are added in ``data.indices``
+    order; tree.classify is the same walk for one row.
+    """
     if len(data) == 0:
         raise ValueError("cannot average costs over an empty subset")
     if mc.num_classes != data.dataset.num_classes:
         raise ValueError("matrix classes and dataset classes differ")
-    features = data.dataset.features
-    labels = data.dataset.labels
-    test_total = 0.0
-    mc_total = 0.0
-    for idx in data.indices:
-        predicted, tested = classify(tree, features[idx])
-        test_total += total_test_cost(tc, tested)
-        mc_total += mc.cost(int(labels[idx]), predicted)
-    return CostBreakdown.from_totals(test_total, mc_total, len(data))
+    if data.dataset.num_attributes != len(tree.tc_used):
+        raise ValueError(
+            f"expected a vector of {len(tree.tc_used)} features, "
+            f"got shape {(data.dataset.num_attributes,)}"
+        )
+    columns = data.dataset.features[data.indices].T
+    tests = np.empty(len(data))
+    predicted = np.empty(len(data), dtype=np.int64)
+    stack = [(tree.root, np.arange(len(data)), frozenset())]
+    while stack:
+        node, rows, path = stack.pop()
+        if not rows.size:
+            continue
+        if node.is_leaf:
+            if not 0 <= node.predicted_class < mc.num_classes:
+                raise ValueError(f"class indices must lie in [0, {mc.num_classes - 1}]")
+            tests[rows] = total_test_cost(tc, path)
+            predicted[rows] = node.predicted_class
+            continue
+        goes_left = columns[node.attribute][rows] <= node.threshold
+        deeper = path | {node.attribute}
+        stack.append((node.right, rows[~goes_left], deeper))
+        stack.append((node.left, rows[goes_left], deeper))
+    penalties = np.array(mc.rows)[data.labels, predicted]
+    return CostBreakdown.from_totals(
+        _total_in_order(tests), _total_in_order(penalties), len(data)
+    )
 
 
 def reduction_ratio(average_before: float, average_after: float) -> float:
@@ -74,4 +105,4 @@ def average_reduction_ratio(ratios) -> float:
     ratios = list(ratios)
     if not ratios:
         raise ValueError("need at least one ratio to average")
-    return sum(ratios) / len(ratios)
+    return _sum_in_order(ratios) / len(ratios)

@@ -22,6 +22,7 @@ from .costs import (
     CostDistributionSpec,
     MisclassificationMatrix,
     TestCostVector,
+    _sum_in_order,
     generate_test_costs,
     load_cost_file,
     two_class_matrix,
@@ -238,8 +239,9 @@ def _mode_stats(rows, lams, trials):
     for lam in lams:
         column = [by_trial[trial][lam] for trial in trials]
         per_lambda[_lam_key(lam)] = {
-            "mean_train_avg_cost": sum(r.train_average for r in column) / len(column),
-            "mean_test_avg_cost": sum(r.test_average for r in column) / len(column),
+            "mean_train_avg_cost": _sum_in_order(r.train_average for r in column) / len(column),
+            "mean_test_avg_cost": _sum_in_order(r.test_average for r in column) / len(column),
+            # node counts are ints, which every Python version sums exactly
             "mean_tree_nodes": sum(r.tree_nodes for r in column) / len(column),
         }
     counts = {_lam_key(lam): 0 for lam in lams}
@@ -287,7 +289,7 @@ def report_summary(rows) -> dict:
         for lam in lams:
             column = [row.reduction for row in measured if row.lam == lam]
             if column:
-                per_lambda[_lam_key(lam)] = sum(column) / len(column)
+                per_lambda[_lam_key(lam)] = _sum_in_order(column) / len(column)
         summary["reduction"] = {
             "per_lambda_mean": per_lambda,
             "average_reduction_ratio": average_reduction_ratio(per_lambda.values()),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import MisclassificationMatrix, TestCostVector, total_test_cost
+from .costs import MisclassificationMatrix, TestCostVector, _sum_in_order, total_test_cost
 from .evaluation import CostBreakdown
 from .tree import DecisionTree, TreeNode
 
@@ -45,8 +45,8 @@ class PruneTraceEntry:
 
 
 def _leaf_mc_total(histogram, predicted: int, mc: MisclassificationMatrix) -> float:
-    return float(
-        sum(int(count) * mc.cost(true, predicted) for true, count in enumerate(histogram))
+    return _sum_in_order(
+        int(count) * mc.cost(true, predicted) for true, count in enumerate(histogram)
     )
 
 

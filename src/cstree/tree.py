@@ -67,42 +67,9 @@ def _xlog2x(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _entropy_rows(count_rows: np.ndarray) -> np.ndarray:
-    # log2(T) - sum(c * log2 c) / T per row; rows must have positive totals
-    totals = count_rows.sum(axis=1)
+def _entropy_rows(count_rows: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    # log2(T) - sum(c * log2 c) / T per row; the row totals T must be positive
     return np.log2(totals) - _xlog2x(count_rows).sum(axis=1) / totals
-
-
-def _scan_attribute(values, label_matrix, h_parent, min_leaf_size):
-    """Vectorised threshold scan of one column.
-
-    Returns (thresholds, gains, split_infos) over the boundaries between
-    distinct consecutive sorted values whose children both hold at least
-    min_leaf_size instances, or None when no such boundary exists.
-    """
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    n = sv.shape[0]
-    boundary = np.nonzero(sv[:-1] < sv[1:])[0]
-    if boundary.size == 0:
-        return None
-    n_left = (boundary + 1).astype(np.float64)
-    n_right = n - n_left
-    keep = (n_left >= min_leaf_size) & (n_right >= min_leaf_size)
-    if not keep.any():
-        return None
-    boundary = boundary[keep]
-    n_left = n_left[keep]
-    n_right = n_right[keep]
-    cum = label_matrix[order].cumsum(axis=0)
-    left_counts = cum[boundary]
-    right_counts = cum[-1] - left_counts
-    h_left = _entropy_rows(left_counts)
-    h_right = _entropy_rows(right_counts)
-    gains = np.maximum(h_parent - (n_left * h_left + n_right * h_right) / n, 0.0)
-    split_infos = math.log2(n) - (_xlog2x(n_left) + _xlog2x(n_right)) / n
-    thresholds = (sv[boundary] + sv[boundary + 1]) / 2.0
-    return thresholds, gains, split_infos
 
 
 def _as_candidate(best: tuple[float, int, float, float] | None) -> SplitCandidate | None:
@@ -114,44 +81,71 @@ def _as_candidate(best: tuple[float, int, float, float] | None) -> SplitCandidat
 
 
 def _ratio_scans(subset: InstanceSubset, hist, min_leaf_size: int):
-    """Yield (attribute, thresholds, ratios, admissible) for every attribute
-    with at least one admissible threshold; ratios are 0 where inadmissible."""
+    """Every admissible (attribute, threshold) pair of the subset, found in
+    one pass over all attributes at once.
+
+    Each column is sorted stably; a boundary lies between distinct
+    consecutive sorted values, and is admissible when both children hold
+    at least min_leaf_size rows, the gain is positive and the split
+    information is at least MIN_SPLIT_INFO. Returns (attributes,
+    thresholds, ratios) as flat arrays in attribute-major order, with
+    thresholds ascending within an attribute, and the (attribute, start,
+    stop) span of each attribute that has an admissible pair.
+    """
     n = len(subset)
-    label_matrix = np.zeros((n, subset.dataset.num_classes), dtype=np.float64)
-    label_matrix[np.arange(n), subset.labels] = 1.0
-    h_parent = entropy(hist)
-    for a in range(subset.dataset.num_attributes):
-        scan = _scan_attribute(subset.values(a), label_matrix, h_parent, min_leaf_size)
-        if scan is None:
-            continue
-        thresholds, gains, split_infos = scan
-        admissible = (gains > 0.0) & (split_infos >= MIN_SPLIT_INFO)
-        if admissible.any():
-            ratios = np.divide(
-                gains, split_infos, out=np.zeros_like(gains), where=admissible
-            )
-            yield a, thresholds, ratios, admissible
+    columns = subset.dataset.features[subset.indices].T
+    order = np.argsort(columns, axis=1, kind="stable")
+    ordered = np.take_along_axis(columns, order, axis=1)
+    attributes, position = np.nonzero(ordered[:, :-1] < ordered[:, 1:])
+    keep = (position + 1 >= min_leaf_size) & (position + 1 <= n - min_leaf_size)
+    attributes, position = attributes[keep], position[keep]
+    # class counts left of every boundary; a count is at most n, so int32
+    # holds it and keeps the (m, n, k) block small
+    ordered_labels = subset.labels[order]
+    below = np.cumsum(
+        ordered_labels[:, :, None] == np.arange(subset.dataset.num_classes),
+        axis=1,
+        dtype=np.int32,
+    )
+    left_counts = below[attributes, position].astype(np.float64)
+    right_counts = hist - left_counts
+    n_left = (position + 1).astype(np.float64)
+    n_right = n - n_left
+    h_left = _entropy_rows(left_counts, n_left)
+    h_right = _entropy_rows(right_counts, n_right)
+    gains = np.maximum(entropy(hist) - (n_left * h_left + n_right * h_right) / n, 0.0)
+    split_infos = math.log2(n) - (_xlog2x(n_left) + _xlog2x(n_right)) / n
+    admissible = (gains > 0.0) & (split_infos >= MIN_SPLIT_INFO)
+    attributes, position = attributes[admissible], position[admissible]
+    thresholds = (ordered[attributes, position] + ordered[attributes, position + 1]) / 2.0
+    ratios = gains[admissible] / split_infos[admissible]
+    present = np.flatnonzero(np.bincount(attributes, minlength=columns.shape[0]))
+    starts = np.searchsorted(attributes, present)
+    stops = np.searchsorted(attributes, present, side="right")
+    spans = list(zip(present.tolist(), starts.tolist(), stops.tolist()))
+    return attributes, thresholds, ratios, spans
 
 
-def _near_top(masked: np.ndarray) -> np.ndarray:
+def _near_top(ratios: np.ndarray) -> np.ndarray:
     """Indices up to the first maximum i0 whose values lie within four
     ulps of it.
 
-    Scaling by a weight w > 0 is monotone, so argmax(masked * w) is i0
+    Scaling by a weight w > 0 is monotone, so argmax(ratios * w) is i0
     unless rounding makes r_j * w == r_i0 * w for some j < i0. When that
     product is a normal number, equal products need r_j within about two
     ulps of r_i0, so these indices, in order, hold every possible winner.
     """
-    i0 = int(np.argmax(masked))
-    return np.flatnonzero(masked[: i0 + 1] >= masked[i0] - 4 * np.spacing(masked[i0]))
+    i0 = int(np.argmax(ratios))
+    return np.flatnonzero(ratios[: i0 + 1] >= ratios[i0] - 4 * np.spacing(ratios[i0]))
 
 
 def _split_candidates(subset: InstanceSubset, hist, min_leaf_size: int):
     """The exponent-free part of best_split: per attribute with an
     admissible split, the (thresholds, ratios) that can win at any weight."""
+    _, thresholds, ratios, spans = _ratio_scans(subset, hist, min_leaf_size)
     candidates = []
-    for a, thresholds, ratios, admissible in _ratio_scans(subset, hist, min_leaf_size):
-        near = _near_top(np.where(admissible, ratios, -np.inf))
+    for a, start, stop in spans:
+        near = start + _near_top(ratios[start:stop])
         candidates.append((a, thresholds[near].tolist(), ratios[near].tolist()))
     return tuple(candidates)
 
@@ -214,14 +208,18 @@ def best_split(
         picked = _pick_split(candidates, tc, lam, tested_on_path)
         if picked is not False:
             return picked
-    best: tuple[float, int, float, float] | None = None
-    for a, thresholds, ratios, admissible in _ratio_scans(subset, hist, min_leaf_size):
-        weight = _weight(tc, lam, a, tested_on_path)
-        scores = np.where(admissible, ratios * weight, -np.inf)
-        i = int(np.argmax(scores))
-        if best is None or scores[i] > best[0]:
-            best = (float(scores[i]), a, float(thresholds[i]), float(ratios[i]))
-    return _as_candidate(best)
+    attributes, thresholds, ratios, spans = _ratio_scans(subset, hist, min_leaf_size)
+    if not spans:
+        return None
+    weights = np.zeros(subset.dataset.num_attributes)
+    for a, _, _ in spans:
+        weights[a] = _weight(tc, lam, a, tested_on_path)
+    # the first maximum in attribute-major order: lowest attribute, then threshold
+    scores = ratios * weights[attributes]
+    i = int(np.argmax(scores))
+    return _as_candidate(
+        (float(scores[i]), int(attributes[i]), float(thresholds[i]), float(ratios[i]))
+    )
 
 
 @dataclass(eq=False)
@@ -392,6 +390,8 @@ def _node_from_json(obj, num_attributes: int, leaf_width: list[int | None]) -> T
         predicted = obj["leaf"]
         if not _is_int(predicted) or not 0 <= predicted < len(hist):
             raise ValueError("leaf class must index the histogram")
+        if sum(hist) >= 2**63:
+            raise ValueError("histogram counts must total less than 2**63")
         arr = np.array(hist, dtype=np.int64)
         if predicted != int(np.argmax(arr)):
             raise ValueError("leaf class must be the majority of its histogram")
@@ -405,6 +405,9 @@ def _node_from_json(obj, num_attributes: int, leaf_width: list[int | None]) -> T
             raise ValueError("threshold must be a finite number")
         left = _node_from_json(obj["left"], num_attributes, leaf_width)
         right = _node_from_json(obj["right"], num_attributes, leaf_width)
+        # each child's total fits an int64, so these sums are exact
+        if int(left.histogram.sum()) + int(right.histogram.sum()) >= 2**63:
+            raise ValueError("histogram counts must total less than 2**63")
         return TreeNode(
             histogram=left.histogram + right.histogram,
             attribute=attribute,

@@ -3,12 +3,19 @@
 Everything here is written the slow, obvious way: plain Python loops,
 the math module, and the serialized tree JSON rather than the package's
 node objects. Tests compare the fast implementations against these.
+
+The one exception is ``best_split_per_attribute``: the library's former
+split scan, one numpy pass per attribute. It is kept as written so that
+the one-pass scan over all attributes can be held to the same floats,
+bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
+
+import numpy as np
 
 ADMISSION_FLOOR = 1e-12
 
@@ -33,14 +40,21 @@ def classify_json(node: dict, row) -> tuple[int, set]:
 
 
 def average_cost_json(tree_text: str, rows, labels, costs, penalties):
-    """Walk the serialized tree per instance; returns (tests, penalties, mean)."""
+    """Walk the serialized tree per instance; returns (tests, penalties, mean).
+
+    A row's tests are summed in attribute order, and the rows' figures are
+    added to the totals one row at a time in the given order, so the totals
+    are the library's to the last bit.
+    """
     root = json.loads(tree_text)["root"]
     test_total = 0.0
     penalty_total = 0.0
     for row, true_class in zip(rows, labels):
         predicted, attrs = classify_json(root, row)
+        path_cost = 0.0
         for a in sorted(attrs):
-            test_total += costs[a]
+            path_cost += costs[a]
+        test_total += path_cost
         penalty_total += penalties[true_class][predicted]
     n = len(labels)
     return test_total, penalty_total, (test_total + penalty_total) / n
@@ -127,3 +141,81 @@ def best_gain_ratio_split(rows, labels, k, min_leaf=2):
             if score is not None and (best is None or score > best[0]):
                 best = (score, attribute, threshold)
     return best
+
+
+def _xlog2x(values):
+    out = np.zeros_like(values, dtype=np.float64)
+    np.log2(values, out=out, where=values > 0)
+    out *= values
+    return out
+
+
+def _entropy_rows(count_rows):
+    totals = count_rows.sum(axis=1)
+    return np.log2(totals) - _xlog2x(count_rows).sum(axis=1) / totals
+
+
+def scan_attribute(values, label_matrix, h_parent, min_leaf_size):
+    """Threshold scan of one column: (thresholds, gains, split_infos) over
+    the boundaries between distinct sorted values whose children both hold
+    at least min_leaf_size rows, or None when there is no such boundary."""
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    n = sv.shape[0]
+    boundary = np.nonzero(sv[:-1] < sv[1:])[0]
+    if boundary.size == 0:
+        return None
+    n_left = (boundary + 1).astype(np.float64)
+    n_right = n - n_left
+    keep = (n_left >= min_leaf_size) & (n_right >= min_leaf_size)
+    if not keep.any():
+        return None
+    boundary = boundary[keep]
+    n_left = n_left[keep]
+    n_right = n_right[keep]
+    cum = label_matrix[order].cumsum(axis=0)
+    left_counts = cum[boundary]
+    right_counts = cum[-1] - left_counts
+    h_left = _entropy_rows(left_counts)
+    h_right = _entropy_rows(right_counts)
+    gains = np.maximum(h_parent - (n_left * h_left + n_right * h_right) / n, 0.0)
+    split_infos = math.log2(n) - (_xlog2x(n_left) + _xlog2x(n_right)) / n
+    thresholds = (sv[boundary] + sv[boundary + 1]) / 2.0
+    return thresholds, gains, split_infos
+
+
+def best_split_per_attribute(features, labels, k, costs, lam, tested=(), min_leaf=2):
+    """best_split computed one attribute at a time with scan_attribute.
+
+    ``features`` is the (n, m) block of the subset's rows and ``labels``
+    their classes, in the subset's order. Returns (attribute, threshold,
+    gain_ratio, heuristic_value) or None.
+    """
+    n = len(labels)
+    hist = np.bincount(labels, minlength=k)
+    if n < 2 * min_leaf or int((hist > 0).sum()) <= 1:
+        return None
+    label_matrix = np.zeros((n, k), dtype=np.float64)
+    label_matrix[np.arange(n), labels] = 1.0
+    counts = hist.astype(np.float64)
+    probs = counts[counts > 0] / counts.sum()
+    h_parent = float(-(probs * np.log2(probs)).sum()) + 0.0
+    best = None
+    for a in range(features.shape[1]):
+        scan = scan_attribute(features[:, a], label_matrix, h_parent, min_leaf)
+        if scan is None:
+            continue
+        thresholds, gains, split_infos = scan
+        admissible = (gains > 0.0) & (split_infos >= ADMISSION_FLOOR)
+        if not admissible.any():
+            continue
+        ratios = np.divide(gains, split_infos, out=np.zeros_like(gains), where=admissible)
+        weight = 1.0 if a in tested else costs[a] ** lam
+        scores = np.where(admissible, ratios * weight, -np.inf)
+        i = int(np.argmax(scores))
+        if best is None or scores[i] > best[0]:
+            best = (float(scores[i]), a, float(thresholds[i]), float(ratios[i]))
+    if best is None:
+        return None
+    score, attribute, threshold, ratio = best
+    return attribute, threshold, ratio, score

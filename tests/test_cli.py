@@ -356,6 +356,14 @@ class TestExitCodes:
                 lambda d: d["root"]["right"]["right"].update(histogram=[0, 2**63]),
                 "leaf histogram must be a list of nonnegative integers",
             ),
+            # two leaves whose counts each fit an int64 but whose sum does not
+            (
+                lambda d: d["root"]["right"].update(
+                    left={"leaf": 0, "histogram": [2**62, 0]},
+                    right={"leaf": 0, "histogram": [2**62, 0]},
+                ),
+                "histogram counts must total less than 2**63",
+            ),
             # a text replacing the document, too deep for json.dumps to write
             (lambda d: deep_tree_json(5000), "tree JSON is nested too deeply"),
         ],

@@ -12,11 +12,13 @@ from cstree.costs import (
     CostDistributionSpec,
     MisclassificationMatrix,
     TestCostVector,
+    _sum_in_order,
     generate_test_costs,
     load_cost_file,
     total_test_cost,
     two_class_matrix,
 )
+from cstree.evaluation import average_reduction_ratio
 
 
 class TestTestCostVector:
@@ -71,6 +73,22 @@ class TestTotalTestCost:
         base = total_test_cost(table_costs, picks)
         assert total_test_cost(table_costs, picks + [extra]) >= base
         assert total_test_cost(table_costs, picks + picks) == base
+
+
+class TestSumInOrder:
+    # Python 3.12's compensated built-in sum() gives 0.6 here; reports
+    # depend on the left-to-right value on every supported version.
+    def test_adds_left_to_right(self):
+        assert _sum_in_order([0.1, 0.2, 0.3]) == 0.6000000000000001
+        assert _sum_in_order(iter([0.3, 0.2, 0.1])) == 0.6
+
+    def test_empty_is_float_zero(self):
+        assert _sum_in_order([]) == 0.0 and isinstance(_sum_in_order([]), float)
+
+    def test_report_sums_use_it(self):
+        tc = TestCostVector((0.1, 0.2, 0.3))
+        assert total_test_cost(tc, {2, 0, 1}) == 0.6000000000000001
+        assert average_reduction_ratio([0.1, 0.2, 0.3]) == 0.6000000000000001 / 3
 
 
 class TestMisclassificationMatrix:

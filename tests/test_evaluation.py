@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import support
 from cstree.costs import MisclassificationMatrix, TestCostVector, two_class_matrix
 from cstree.data import Dataset, InstanceSubset
@@ -14,7 +15,7 @@ from cstree.evaluation import (
     average_reduction_ratio,
     reduction_ratio,
 )
-from cstree.tree import build_tree
+from cstree.tree import DecisionTree, TreeNode, build_tree, deserialize, serialize
 
 
 class TestCostBreakdown:
@@ -125,6 +126,64 @@ class TestAverageCost:
                 expect_penalty += mc.cost(int(label), predicted)
             assert got.test_cost_total == pytest.approx(expect_tests, rel=1e-12)
             assert got.misclassification_total == pytest.approx(expect_penalty, rel=1e-12)
+
+
+class TestAverageCostOracle:
+    """average_cost against the per-row walker of tests/oracles.py, with
+    fractional costs so that every field must match to the last bit."""
+
+    @staticmethod
+    def case(seed, k, n=1200):
+        rng = np.random.default_rng(seed)
+        m = 8
+        features = np.round(rng.normal(50.0, 10.0, size=(n, m)), 1)
+        score = features[:, 0] + 0.5 * features[:, 2] + rng.normal(0.0, 6.0, n)
+        labels = np.digitize(score, np.quantile(score, np.linspace(0, 1, k + 1)[1:-1]))
+        ds = Dataset.from_arrays(features, labels, class_names=tuple(map(str, range(k))))
+        # full-precision costs: adding them in another order changes the sums
+        tc = TestCostVector(tuple(rng.uniform(0.1, 9.9, m)))
+        values = np.round(rng.uniform(0.1, 99.9, size=(k, k)), 1)
+        np.fill_diagonal(values, 0.0)
+        mc = MisclassificationMatrix(tuple(map(tuple, values)))
+        return rng, ds, tc, mc
+
+    @staticmethod
+    def assert_matches(tree, rows, tc, mc):
+        ds = rows.dataset
+        got = average_cost(tree, rows, tc, mc)
+        tests, penalties, mean = oracles.average_cost_json(
+            serialize(tree),
+            ds.features[rows.indices].tolist(),
+            ds.labels[rows.indices].tolist(),
+            list(tc.costs),
+            [list(row) for row in mc.rows],
+        )
+        assert (got.test_cost_total, got.misclassification_total, got.average, got.count) == (
+            tests, penalties, mean, len(rows)
+        )
+
+    @pytest.mark.parametrize("seed, k", [(1, 2), (2, 3)])
+    def test_grown_and_deserialized_trees(self, seed, k):
+        rng, ds, tc, mc = self.case(seed, k)
+        order = rng.permutation(len(ds))
+        train = InstanceSubset(ds, np.sort(order[:800]))
+        unsorted = InstanceSubset(ds, order[300:])
+        for lam in (-2.0, 0.0):
+            tree = build_tree(train, tc, lam, min_leaf_size=1)
+            assert tree.node_count() > 100
+            for candidate in (tree, deserialize(serialize(tree))):
+                for rows in (train, unsorted, ds.all_instances()):
+                    self.assert_matches(candidate, rows, tc, mc)
+
+    def test_root_leaf_tree(self):
+        rng, ds, tc, mc = self.case(3, 3)
+        hist = np.bincount(ds.labels, minlength=3)
+        leaf = DecisionTree(
+            TreeNode(histogram=hist, predicted_class=int(np.argmax(hist))), -1.0, tc
+        )
+        got = average_cost(leaf, ds.all_instances(), tc, mc)
+        assert got.test_cost_total == 0.0
+        self.assert_matches(leaf, InstanceSubset(ds, rng.permutation(len(ds))), tc, mc)
 
 
 class TestReductionRatio:

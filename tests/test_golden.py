@@ -12,6 +12,9 @@ one split cache shared across those exponents.
 
 The inputs are the bundled 24-row sample and ``synthetic_300x6.csv``, a
 seeded 300x6 three-class table that ``_write_synthetic_table`` writes.
+The ``fractional_*`` cases run both inputs with fractional test costs and
+a non-integer matrix, where the totals depend on the order in which rows
+and tests are added.
 Record again only when an output is meant to change:
 
     PYTHONPATH=src python tests/test_golden.py --record
@@ -40,6 +43,10 @@ SAMPLE = ASSETS / "diabetes_sample.csv"
 SAMPLE_COSTS = ASSETS / "example_costs.json"
 TABLE = GOLDEN / "synthetic_300x6.csv"
 TABLE_COSTS = GOLDEN / "synthetic_costs.json"
+FRACTIONAL_COSTS = {
+    "sample": GOLDEN / "fractional_sample_costs.json",
+    "table": GOLDEN / "fractional_table_costs.json",
+}
 
 # name -> (argv without output flags, output flags the subcommand writes)
 REPORTS = ("--out-csv", "--out-json")
@@ -87,6 +94,24 @@ CASES = {
          "--lambda-step", "0.5"],
         REPORTS,
     ),
+    **{
+        f"fractional_{name}_{command}": (
+            [command, *argv, "--cost-file", FRACTIONAL_COSTS[name]],
+            flags,
+        )
+        for name, data, extra, fixture in (
+            ("sample", SAMPLE, [], ASSETS / "prune_example_tree.json"),
+            ("table", TABLE, ["--min-leaf", "4"], GOLDEN / "build_tree" / "table_lam-1.json"),
+        )
+        for command, argv, flags in (
+            ("sweep", ["--data", data, "--prune", "both", "--seed", "5", *extra], WITH_TREE),
+            ("experiment", ["--data", data, "--trials", "10", "--prune", "both",
+                            "--seed", "2", "--lambda-step", "0.5", *extra], REPORTS),
+            ("train", ["--data", data, "--lambda", "-1.5", "--train-fraction", "0.6",
+                       "--seed", "1", *extra], WITH_TREE),
+            ("prune", ["--fixture", fixture, "--data", data], WITH_TREE),
+        )
+    },
 }
 FILES = {"--out-csv": "out.csv", "--out-json": "out.json", "--tree-out": "tree.json"}
 

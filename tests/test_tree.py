@@ -12,7 +12,7 @@ import oracles
 import support
 from cstree.competition import LambdaGrid
 from cstree.costs import TestCostVector
-from cstree.data import Dataset
+from cstree.data import Dataset, InstanceSubset
 from cstree.tree import (
     _near_top,
     _pick_split,
@@ -365,6 +365,48 @@ class TestSplitCache:
             walk(build_tree(rows, tc, lam, min_leaf, cache).root, rows, lam, frozenset())
 
 
+class TestScanReference:
+    """best_split, cached and uncached, against the per-attribute scan
+    reference in tests/oracles.py, field for field and bit for bit."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        # more than 8 classes reaches the blocked part of numpy's pairwise sum
+        k=st.sampled_from([2, 3, 9, 12]),
+        min_leaf=st.integers(1, 4),
+        grid=st.sampled_from([2, 4, 12, 1000]),
+        lam=st.sampled_from([-4.0, -2.5, -1.0, -0.25, 0.0]),
+    )
+    def test_best_split_matches_per_attribute_scan(self, seed, k, min_leaf, grid, lam):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 90))
+        m = int(rng.integers(1, 7))
+        # a coarse grid repeats values; a fine one makes most of them distinct
+        features = rng.integers(0, grid, size=(n, m)) / 4.0
+        labels = rng.integers(0, k, size=n)
+        ds = Dataset.from_arrays(features, labels, class_names=tuple(map(str, range(k))))
+        tc = TestCostVector(tuple(rng.uniform(0.5, 12.0, m)))
+        tested = frozenset(np.flatnonzero(rng.random(m) < 0.3).tolist())
+        rows = InstanceSubset(ds, rng.permutation(n)[: int(rng.integers(1, n + 1))])
+        want = oracles.best_split_per_attribute(
+            ds.features[rows.indices], ds.labels[rows.indices], k, tc.costs, lam,
+            tested, min_leaf,
+        )
+        cache: dict = {}
+        for _ in range(2):  # the second call is served from the cache
+            for chosen in (
+                best_split(rows, tc, lam, tested, min_leaf),
+                best_split(rows, tc, lam, tested, min_leaf, cache),
+            ):
+                if chosen is not None:
+                    chosen = (
+                        chosen.attribute, chosen.threshold, chosen.gain_ratio,
+                        chosen.heuristic_value,
+                    )
+                assert chosen == want
+
+
 class TestBuildTree:
     def test_pure_training_set_is_one_leaf(self):
         ds = Dataset.from_arrays([[1.0], [2.0]], [1, 1], class_names=("a", "b"))
@@ -563,6 +605,23 @@ class TestSerialization:
         doc = json.loads(fixture_tree_path.read_text(encoding="utf-8"))
         doc["lambda"] = 0.5
         with pytest.raises(ValueError, match="lambda"):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [([2**62, 0], [2**62, 0]), ([2**62, 0], [2**62 - 1, 2**62 - 1])],
+    )
+    def test_summed_counts_must_fit_int64(self, fixture_tree_path, left, right):
+        doc = json.loads(fixture_tree_path.read_text(encoding="utf-8"))
+        doc["root"]["right"]["left"] = {"leaf": 0, "histogram": left}
+        doc["root"]["right"]["right"] = {"leaf": 0, "histogram": right}
+        with pytest.raises(ValueError, match=r"less than 2\*\*63"):
+            deserialize(json.dumps(doc))
+
+    def test_leaf_counts_must_total_within_int64(self, fixture_tree_path):
+        doc = json.loads(fixture_tree_path.read_text(encoding="utf-8"))
+        doc["root"]["right"]["right"]["histogram"] = [2**62, 2**62]
+        with pytest.raises(ValueError, match=r"less than 2\*\*63"):
             deserialize(json.dumps(doc))
 
     def test_non_finite_threshold_rejected(self, fixture_tree_path):
