@@ -48,6 +48,7 @@ from .tree import (
     TreeNode,
     best_split,
     build_tree,
+    build_trees,
     check_training_rows,
     classify,
     deserialize,
@@ -79,6 +80,7 @@ __all__ = [
     "average_reduction_ratio",
     "best_split",
     "build_tree",
+    "build_trees",
     "check_training_rows",
     "classify",
     "deserialize",

@@ -8,13 +8,14 @@ minimum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .costs import MisclassificationMatrix, TestCostVector
 from .data import InstanceSubset
 from .evaluation import CostBreakdown, average_cost
 from .pruning import post_prune
-from .tree import DEFAULT_MIN_LEAF, DecisionTree, build_tree
+from .tree import DEFAULT_MIN_LEAF, DecisionTree, build_trees
 
 __all__ = [
     "LambdaGrid",
@@ -36,6 +37,8 @@ class LambdaGrid:
     step: float = 0.25
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.start, self.end, self.step)):
+            raise ValueError("the exponent grid's start, end and step must be finite")
         if self.step <= 0:
             raise ValueError("step must be positive")
         if self.start > self.end:
@@ -87,13 +90,12 @@ def run_competitions(
 ) -> dict[bool, SweepResult]:
     """One competition per prune flag, keyed by the flag.
 
-    Each exponent's tree is grown once, on a split cache shared across the
-    grid, and the pruned competition prunes that same tree."""
+    The whole grid grows in one build_trees pass, and the pruned
+    competition prunes the same trees."""
     grid = grid or LambdaGrid()
-    cache: dict = {}
+    lams = grid.values()
     records = {flag: [] for flag in prune_flags}
-    for lam in grid.values():
-        grown = build_tree(train, tc, lam, min_leaf_size, cache)
+    for lam, grown in zip(lams, build_trees(train, tc, lams, min_leaf_size)):
         for flag in prune_flags:
             tree = post_prune(grown, tc, mc, prune_on_tie)[0] if flag else grown
             cost = average_cost(tree, train, tc, mc)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ __all__ = [
     "entropy",
     "best_split",
     "build_tree",
+    "build_trees",
     "classify",
     "serialize",
     "deserialize",
@@ -72,14 +72,6 @@ def _entropy_rows(count_rows: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return np.log2(totals) - _xlog2x(count_rows).sum(axis=1) / totals
 
 
-def _as_candidate(best: tuple[float, int, float, float] | None) -> SplitCandidate | None:
-    """SplitCandidate from a (score, attribute, threshold, ratio) tuple."""
-    if best is None:
-        return None
-    score, attribute, threshold, ratio = best
-    return SplitCandidate(attribute, threshold, ratio, score)
-
-
 def _ratio_scans(subset: InstanceSubset, hist, min_leaf_size: int):
     """Every admissible (attribute, threshold) pair of the subset, found in
     one pass over all attributes at once.
@@ -89,8 +81,7 @@ def _ratio_scans(subset: InstanceSubset, hist, min_leaf_size: int):
     at least min_leaf_size rows, the gain is positive and the split
     information is at least MIN_SPLIT_INFO. Returns (attributes,
     thresholds, ratios) as flat arrays in attribute-major order, with
-    thresholds ascending within an attribute, and the (attribute, start,
-    stop) span of each attribute that has an admissible pair.
+    thresholds ascending within an attribute.
     """
     n = len(subset)
     columns = subset.dataset.features[subset.indices].T
@@ -119,58 +110,77 @@ def _ratio_scans(subset: InstanceSubset, hist, min_leaf_size: int):
     attributes, position = attributes[admissible], position[admissible]
     thresholds = (ordered[attributes, position] + ordered[attributes, position + 1]) / 2.0
     ratios = gains[admissible] / split_infos[admissible]
-    present = np.flatnonzero(np.bincount(attributes, minlength=columns.shape[0]))
-    starts = np.searchsorted(attributes, present)
-    stops = np.searchsorted(attributes, present, side="right")
-    spans = list(zip(present.tolist(), starts.tolist(), stops.tolist()))
-    return attributes, thresholds, ratios, spans
+    return attributes, thresholds, ratios
 
 
-def _near_top(ratios: np.ndarray) -> np.ndarray:
-    """Indices up to the first maximum i0 whose values lie within four
-    ulps of it.
+def _checked_exponents(lams, subset: InstanceSubset, tc: TestCostVector, min_leaf_size: int):
+    """The exponents as floats, after the checks best_split and build_trees share."""
+    lams = [float(lam) for lam in lams]
+    for lam in lams:
+        if not (math.isfinite(lam) and lam <= 0):
+            raise ValueError(f"the cost exponent must be finite and zero or negative, got {lam!r}")
+    if min_leaf_size < 1:
+        raise ValueError("min_leaf_size must be at least 1")
+    if len(tc) != subset.dataset.num_attributes:
+        raise ValueError("one test cost per attribute is required")
+    return lams
 
-    Scaling by a weight w > 0 is monotone, so argmax(ratios * w) is i0
-    unless rounding makes r_j * w == r_i0 * w for some j < i0. When that
-    product is a normal number, equal products need r_j within about two
-    ulps of r_i0, so these indices, in order, hold every possible winner.
+
+def _weight(tc: TestCostVector, lam: float, a: int) -> float:
+    """tc(a) ** lam, or inf where the power overflows a float."""
+    try:
+        return tc.cost(a) ** lam
+    except OverflowError:
+        return math.inf
+
+
+def _weights(tc: TestCostVector, lams) -> np.ndarray:
+    """The (exponents x attributes) matrix of _weight."""
+    rows = [[_weight(tc, lam, a) for a in range(len(tc))] for lam in lams]
+    return np.array(rows, dtype=np.float64).reshape(len(lams), len(tc))
+
+
+def _first_maxima(ratios: np.ndarray, attributes: np.ndarray, weights: np.ndarray):
+    """Per row of ``weights``, the index of the first maximum of
+    ratios * weights[row, attributes], and that maximum.
+
+    The pairs are in attribute-major order, so ties go to the lowest
+    attribute, then the lowest threshold.
     """
-    i0 = int(np.argmax(ratios))
-    return np.flatnonzero(ratios[: i0 + 1] >= ratios[i0] - 4 * np.spacing(ratios[i0]))
+    scores = ratios * weights[:, attributes]
+    picks = np.argmax(scores, axis=1)
+    return picks, scores[np.arange(len(picks)), picks]
 
 
-def _split_candidates(subset: InstanceSubset, hist, min_leaf_size: int):
-    """The exponent-free part of best_split: per attribute with an
-    admissible split, the (thresholds, ratios) that can win at any weight."""
-    _, thresholds, ratios, spans = _ratio_scans(subset, hist, min_leaf_size)
-    candidates = []
-    for a, start, stop in spans:
-        near = start + _near_top(ratios[start:stop])
-        candidates.append((a, thresholds[near].tolist(), ratios[near].tolist()))
-    return tuple(candidates)
+def _splits(subset, hist, tc, lams, weights, tested_on_path, min_leaf_size):
+    """Each exponent's best split of one row set, in the order of ``lams``
+    (``weights`` holds their rows of _weights), or None when the row set
+    has no admissible pair.
 
-
-def _weight(tc: TestCostVector, lam: float, a: int, tested_on_path) -> float:
-    """tc(a) ** lam, or 1 for an attribute already tested on the path."""
-    return 1.0 if a in tested_on_path else tc.cost(a) ** lam
-
-
-def _pick_split(candidates, tc, lam, tested_on_path) -> SplitCandidate | None | bool:
-    """best_split's choice from _split_candidates, or False when a winning
-    product is not a normal number and only a full rescan is exact."""
-    best: tuple[float, int, float, float] | None = None
-    for a, thresholds, ratios in candidates:
-        weight = _weight(tc, lam, a, tested_on_path)
-        top = None
-        for threshold, ratio in zip(thresholds, ratios):
-            score = ratio * weight
-            if top is None or score > top[0]:
-                top = (score, a, threshold, ratio)
-        if not sys.float_info.min <= top[0] <= sys.float_info.max:
-            return False
-        if best is None or top[0] > best[0]:
-            best = top
-    return _as_candidate(best)
+    An attribute already tested on the path is weighed 1. A test cost
+    whose power overflows raises ValueError, but only where an admissible
+    pair of that attribute needs the weight.
+    """
+    if len(subset) < 2 * min_leaf_size or int((hist > 0).sum()) <= 1:
+        return None
+    attributes, thresholds, ratios = _ratio_scans(subset, hist, min_leaf_size)
+    if not len(ratios):
+        return None
+    weights = weights.copy()
+    weights[:, sorted(tested_on_path)] = 1.0
+    if np.isinf(weights).any():
+        used = np.unique(attributes)
+        rows, columns = np.nonzero(np.isinf(weights[:, used]))
+        if len(rows):
+            lam, a = float(lams[rows[0]]), int(used[columns[0]])
+            raise ValueError(
+                f"test cost {tc.cost(a)!r} of attribute {a} to the power {lam!r} overflows a float"
+            )
+    picks, scores = _first_maxima(ratios, attributes, weights)
+    return [
+        SplitCandidate(int(attributes[i]), float(thresholds[i]), float(ratios[i]), score)
+        for i, score in zip(picks.tolist(), scores.tolist())
+    ]
 
 
 def best_split(
@@ -179,47 +189,17 @@ def best_split(
     lam: float,
     tested_on_path: frozenset[int] = frozenset(),
     min_leaf_size: int = DEFAULT_MIN_LEAF,
-    cache: dict | None = None,
 ) -> SplitCandidate | None:
     """Highest-scoring admissible (attribute, threshold) pair, or None.
 
     Admission requires positive gain, split information above the floor,
     and both children at least min_leaf_size. Ties break toward the lowest
     attribute index, then the lowest threshold.
-
-    ``cache`` maps a row set's index bytes to its _split_candidates, so
-    growth at other exponents or along other paths rescans nothing. One
-    cache serves one dataset and one min_leaf_size only.
     """
-    if lam > 0:
-        raise ValueError("the cost exponent must be zero or negative")
-    if min_leaf_size < 1:
-        raise ValueError("min_leaf_size must be at least 1")
-    if len(tc) != subset.dataset.num_attributes:
-        raise ValueError("one test cost per attribute is required")
+    lams = _checked_exponents([lam], subset, tc, min_leaf_size)
     hist = subset.class_histogram()
-    if len(subset) < 2 * min_leaf_size or int((hist > 0).sum()) <= 1:
-        return None
-    if cache is not None:
-        key = subset.indices.tobytes()
-        candidates = cache.get(key)
-        if candidates is None:
-            candidates = cache[key] = _split_candidates(subset, hist, min_leaf_size)
-        picked = _pick_split(candidates, tc, lam, tested_on_path)
-        if picked is not False:
-            return picked
-    attributes, thresholds, ratios, spans = _ratio_scans(subset, hist, min_leaf_size)
-    if not spans:
-        return None
-    weights = np.zeros(subset.dataset.num_attributes)
-    for a, _, _ in spans:
-        weights[a] = _weight(tc, lam, a, tested_on_path)
-    # the first maximum in attribute-major order: lowest attribute, then threshold
-    scores = ratios * weights[attributes]
-    i = int(np.argmax(scores))
-    return _as_candidate(
-        (float(scores[i]), int(attributes[i]), float(thresholds[i]), float(ratios[i]))
-    )
+    splits = _splits(subset, hist, tc, lams, _weights(tc, lams), tested_on_path, min_leaf_size)
+    return None if splits is None else splits[0]
 
 
 @dataclass(eq=False)
@@ -270,26 +250,48 @@ class DecisionTree:
         return self.node_count() - self.leaf_count()
 
 
-def _leaf_from(subset: InstanceSubset) -> TreeNode:
+def _subtrees(subset, tc, lams, weights, tested_on_path, min_leaf_size) -> list[TreeNode]:
+    """The node each exponent's tree grows at ``subset``, in the order of
+    ``lams``; exponents that pick the same split recurse together."""
     hist = subset.class_histogram()
-    return TreeNode(histogram=hist, predicted_class=int(np.argmax(hist)))
+    splits = _splits(subset, hist, tc, lams, weights, tested_on_path, min_leaf_size)
+    if splits is None:
+        return [TreeNode(histogram=hist, predicted_class=int(np.argmax(hist)))] * len(lams)
+    groups: dict[tuple[int, float], list[int]] = {}
+    for i, split in enumerate(splits):
+        groups.setdefault((split.attribute, split.threshold), []).append(i)
+    nodes: list[TreeNode] = [None] * len(lams)
+    for (attribute, threshold), group in groups.items():
+        left, right = subset.partition(attribute, threshold)
+        deeper = tested_on_path | {attribute}
+        lefts = _subtrees(left, tc, lams[group], weights[group], deeper, min_leaf_size)
+        rights = _subtrees(right, tc, lams[group], weights[group], deeper, min_leaf_size)
+        for i, left_node, right_node in zip(group, lefts, rights):
+            nodes[i] = TreeNode(hist, attribute, threshold, left_node, right_node)
+    return nodes
 
 
-def _grow(subset, tc, lam, tested_on_path, min_leaf_size, cache) -> TreeNode:
-    if subset.is_pure() or len(subset) < 2 * min_leaf_size:
-        return _leaf_from(subset)
-    candidate = best_split(subset, tc, lam, tested_on_path, min_leaf_size, cache)
-    if candidate is None:
-        return _leaf_from(subset)
-    left, right = subset.partition(candidate.attribute, candidate.threshold)
-    deeper = tested_on_path | {candidate.attribute}
-    return TreeNode(
-        histogram=subset.class_histogram(),
-        attribute=candidate.attribute,
-        threshold=candidate.threshold,
-        left=_grow(left, tc, lam, deeper, min_leaf_size, cache),
-        right=_grow(right, tc, lam, deeper, min_leaf_size, cache),
-    )
+def build_trees(
+    train: InstanceSubset,
+    tc: TestCostVector,
+    lams,
+    min_leaf_size: int = DEFAULT_MIN_LEAF,
+) -> list[DecisionTree]:
+    """Grow one tree per exponent of ``lams``, each finite and <= 0, in
+    one recursion over the training rows.
+
+    Growth stops at pure subsets, at subsets too small to split into two
+    children of min_leaf_size, and where no candidate has positive gain.
+    Attributes may be re-tested deeper down with new thresholds. Each row
+    set is scanned once for all the exponents whose trees reach it, and
+    each exponent picks from the same products as best_split, so every
+    tree is the one that exponent grows alone.
+    """
+    if len(train) == 0:
+        raise ValueError("cannot grow a tree from an empty training set")
+    lams = _checked_exponents(lams, train, tc, min_leaf_size)
+    roots = _subtrees(train, tc, np.array(lams), _weights(tc, lams), frozenset(), min_leaf_size)
+    return [DecisionTree(root=root, lambda_used=lam, tc_used=tc) for root, lam in zip(roots, lams)]
 
 
 def build_tree(
@@ -297,24 +299,9 @@ def build_tree(
     tc: TestCostVector,
     lam: float,
     min_leaf_size: int = DEFAULT_MIN_LEAF,
-    cache: dict | None = None,
 ) -> DecisionTree:
-    """Grow a tree on the training rows with exponent ``lam`` <= 0.
-
-    Growth stops at pure subsets, at subsets too small to split into two
-    children of min_leaf_size, and where no candidate has positive gain.
-    Attributes may be re-tested deeper down with new thresholds. Trees
-    grown on the same rows and min_leaf_size at several exponents can
-    share one ``cache`` dict (see best_split); the trees are the same.
-    """
-    if len(train) == 0:
-        raise ValueError("cannot grow a tree from an empty training set")
-    if lam > 0:
-        raise ValueError("the cost exponent must be zero or negative")
-    if len(tc) != train.dataset.num_attributes:
-        raise ValueError("one test cost per attribute is required")
-    root = _grow(train, tc, float(lam), frozenset(), min_leaf_size, cache)
-    return DecisionTree(root=root, lambda_used=float(lam), tc_used=tc)
+    """Grow a tree on the training rows with exponent ``lam``; see build_trees."""
+    return build_trees(train, tc, [lam], min_leaf_size)[0]
 
 
 def classify(tree: DecisionTree, instance) -> tuple[int, frozenset[int]]:

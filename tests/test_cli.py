@@ -403,6 +403,32 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:") and message in err and str(costs) in err
 
+    @pytest.mark.parametrize("argv", [["train", "--lambda", "-4"], ["sweep"]])
+    def test_overflowing_test_cost_weight(self, capsys, sample_path, tmp_path, argv):
+        # 1e-100 ** -4 overflows a float
+        costs = tmp_path / "costs.json"
+        doc = {"test_costs": [1e-100] + [1] * 7, "mc_matrix": [[0, 50], [200, 0]]}
+        costs.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, *argv, "--data", str(sample_path), "--cost-file", str(costs))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "attribute 0 to the power -4.0 overflows" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--lambda", "nan"], "cost exponent must be finite"),
+            (["train", "--lambda=-inf"], "cost exponent must be finite"),
+            (["sweep", "--lambda", "nan"], "must be finite"),
+            (["sweep", "--lambda-start=-inf"], "must be finite"),
+            (["sweep", "--lambda-step", "inf"], "must be finite"),
+            (["experiment", "--trials", "1", "--lambda-end", "nan"], "must be finite"),
+        ],
+    )
+    def test_non_finite_exponent(self, capsys, sample_path, argv, message):
+        code, out, err = run(capsys, *argv, "--data", str(sample_path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
+
     @pytest.mark.parametrize(
         "command, flag",
         IGNORED_FLAGS,

@@ -3,12 +3,10 @@ golden files.
 
 Each CLI case runs ``cstree.cli.main`` with every report flag it accepts and
 compares stdout, ``--out-csv``, ``--out-json`` and ``--tree-out`` against
-``tests/assets/golden/<case>/``. Tree files are compared after a compact
-re-dump of the recorded JSON, so a tree recorded with indentation still
-pins every node, threshold and histogram while the written file must be
-compact. The trees under ``tests/assets/golden/build_tree/`` come
-straight from ``build_tree`` at several exponents, grown with and without
-one split cache shared across those exponents.
+``tests/assets/golden/<case>/``. The trees under
+``tests/assets/golden/build_tree/`` come straight from the library at
+several exponents: each is checked as ``build_tree`` grows it alone and
+as ``build_trees`` grows it together with the others in one pass.
 
 The inputs are the bundled 24-row sample and ``synthetic_300x6.csv``, a
 seeded 300x6 three-class table that ``_write_synthetic_table`` writes.
@@ -25,7 +23,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import json
 import sys
 from pathlib import Path
 
@@ -35,7 +32,7 @@ import pytest
 from cstree.cli import main
 from cstree.costs import load_cost_file
 from cstree.data import load_csv
-from cstree.tree import build_tree, serialize
+from cstree.tree import build_tree, build_trees, serialize
 
 ASSETS = Path(__file__).parent / "assets"
 GOLDEN = ASSETS / "golden"
@@ -137,36 +134,35 @@ def _run_case(name: str, out_dir: Path) -> dict[str, bytes]:
     return outputs
 
 
-def _compact(tree_bytes: bytes) -> bytes:
-    return json.dumps(json.loads(tree_bytes), separators=(",", ":")).encode("utf-8")
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_golden(name, tmp_path):
     produced = _run_case(name, tmp_path)
     for file_name, data in produced.items():
         expected = (GOLDEN / name / file_name).read_bytes()
-        if file_name == "tree.json":
-            expected = _compact(expected)
         assert data == expected, f"{name}/{file_name} differs from the golden file"
 
 
-def _grown_trees(name: str, cache: dict | None) -> dict[str, bytes]:
-    """Serialized trees of one input at every TREE_LAMBDAS exponent, in
-    order, all grown on ``cache``; file name -> bytes."""
+def _grown_trees(name: str, together: bool) -> dict[str, bytes]:
+    """Serialized trees of one input at every TREE_LAMBDAS exponent, grown
+    one build_tree call each or all in one build_trees call; file name ->
+    bytes."""
     data_path, costs_path = TREE_INPUTS[name]
     rows = load_csv(data_path).all_instances()
     tc, _ = load_cost_file(costs_path)
+    if together:
+        trees = build_trees(rows, tc, TREE_LAMBDAS)
+    else:
+        trees = [build_tree(rows, tc, lam) for lam in TREE_LAMBDAS]
     return {
-        f"{name}_lam{lam:g}.json": serialize(build_tree(rows, tc, lam, cache=cache)).encode()
-        for lam in TREE_LAMBDAS
+        f"{name}_lam{lam:g}.json": serialize(tree).encode()
+        for lam, tree in zip(TREE_LAMBDAS, trees)
     }
 
 
-@pytest.mark.parametrize("shared_cache", [False, True])
+@pytest.mark.parametrize("together", [False, True])
 @pytest.mark.parametrize("name", sorted(TREE_INPUTS))
-def test_build_tree_matches_golden(name, shared_cache):
-    for file_name, data in _grown_trees(name, {} if shared_cache else None).items():
+def test_build_tree_matches_golden(name, together):
+    for file_name, data in _grown_trees(name, together).items():
         assert data == (TREES / file_name).read_bytes(), f"{file_name} differs"
 
 
@@ -198,7 +194,7 @@ def _record() -> None:
         print(f"recorded {name}")
     TREES.mkdir(exist_ok=True)
     for name in sorted(TREE_INPUTS):
-        for file_name, data in _grown_trees(name, None).items():
+        for file_name, data in _grown_trees(name, False).items():
             (TREES / file_name).write_bytes(data)
         print(f"recorded build_tree {name}")
 

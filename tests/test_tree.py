@@ -14,13 +14,13 @@ from cstree.competition import LambdaGrid
 from cstree.costs import TestCostVector
 from cstree.data import Dataset, InstanceSubset
 from cstree.tree import (
-    _near_top,
-    _pick_split,
+    _first_maxima,
     MIN_SPLIT_INFO,
     DecisionTree,
     TreeNode,
     best_split,
     build_tree,
+    build_trees,
     check_training_rows,
     classify,
     deserialize,
@@ -294,64 +294,65 @@ class TestBestSplit:
             assert_matches_oracle(ds, chosen, min_leaf)
 
 
-class TestSplitCache:
-    def test_near_top_keeps_neighbours_that_collapse_under_weight(self):
+class TestGridGrowth:
+    def test_first_maximum_survives_products_that_collapse(self):
         top = 0.7
         below = math.nextafter(top, 0.0)
         weight = 5.0**-1.0
         assert below * weight == top * weight  # one ulp apart, equal products
-        masked = np.array([below, 0.1, top, top, -np.inf])
-        thresholds = np.array([1.5, 2.5, 3.5, 4.5, 5.5])
-        # the full scan picks index 0, not the first maximum of the ratios
-        assert int(np.argmax(masked * weight)) == 0
-        assert int(np.argmax(masked)) == 2
-        near = _near_top(masked)
-        assert near.tolist() == [0, 2]
-        candidates = ((3, thresholds[near].tolist(), masked[near].tolist()),)
-        tc = TestCostVector((1.0, 1.0, 1.0, 5.0))
-        picked = _pick_split(candidates, tc, -1.0, frozenset())
-        assert (picked.attribute, picked.threshold) == (3, 1.5)
-        assert picked.gain_ratio == below and picked.heuristic_value == top * weight
-        # an attribute already on the path keeps weight 1: the true maximum wins
-        picked = _pick_split(candidates, tc, -1.0, frozenset({3}))
-        assert (picked.threshold, picked.heuristic_value) == (3.5, top)
+        ratios = np.array([below, 0.1, top, top])
+        assert int(np.argmax(ratios)) == 2
+        # the pick is the first maximum of the products, not of the ratios;
+        # weight 1 (a re-tested attribute) keeps the true maximum
+        picks, scores = _first_maxima(ratios, np.zeros(4, dtype=np.intp), np.array([[weight], [1.0]]))
+        assert picks.tolist() == [0, 2]
+        assert scores.tolist() == [top * weight, top]
 
-    def test_near_top_drops_clearly_smaller_ratios(self):
-        masked = np.array([0.5, 0.7 * (1 - 1e-12), -np.inf, 0.7, 0.7])
-        assert _near_top(masked).tolist() == [3]
+    def test_overflowing_weight_raises_only_where_used(self):
+        # 1e-100 ** -4 overflows a float
+        tc = TestCostVector((1e-100, 1.0))
+        ds = two_class([[0, 0], [1, 0], [2, 1], [3, 1]], [0, 0, 1, 1])
+        rows = ds.all_instances()
+        with pytest.raises(ValueError, match="attribute 0 to the power -4.0 overflows"):
+            build_trees(rows, tc, [0.0, -4.0], min_leaf_size=1)
+        with pytest.raises(ValueError, match="attribute 0"):
+            best_split(rows, tc, -4.0, min_leaf_size=1)
+        # a re-tested attribute weighs 1
+        assert best_split(rows, tc, -4.0, frozenset({0}), min_leaf_size=1).heuristic_value == 1.0
+        # a constant column has no admissible pair, so its weight is never needed
+        constant = two_class([[5, 0], [5, 0], [5, 1], [5, 1]], [0, 0, 1, 1])
+        tree = build_tree(constant.all_instances(), tc, -4.0, min_leaf_size=1)
+        assert tree.root.attribute == 1
 
-    @pytest.mark.parametrize("cost", [1e80, 1e-77])  # subnormal weight, overflow
-    def test_pick_asks_for_rescan_off_normal_products(self, cost):
-        tc = TestCostVector((cost,))
-        assert _pick_split(((0, [1.5], [10.0]),), tc, -4.0, frozenset()) is False
-        # the same weight is harmless on a re-tested attribute
-        picked = _pick_split(((0, [1.5], [10.0]),), tc, -4.0, frozenset({0}))
-        assert picked.heuristic_value == 10.0
+    @pytest.mark.parametrize("lam", [math.nan, -math.inf])
+    def test_exponent_must_be_finite(self, lam):
+        rows = two_class([[0], [1], [2], [3]], [0, 0, 1, 1]).all_instances()
+        with pytest.raises(ValueError, match="finite and zero or negative"):
+            build_trees(rows, TestCostVector((1.0,)), [0.0, lam])
+        with pytest.raises(ValueError, match="finite and zero or negative"):
+            best_split(rows, TestCostVector((1.0,)), lam)
 
     @settings(max_examples=10, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         min_leaf=st.integers(1, 3),
         # costs near 1e100 give weights below the normal range from about
-        # lam = -3.25 down, which forces the rescan path
+        # lam = -3.25 down
         scale=st.sampled_from([1.0, 1e100]),
     )
-    def test_shared_cache_grows_the_same_trees(self, seed, min_leaf, scale):
-        # Every node of a tree grown on the shared cache must hold the split
-        # an uncached best_split picks for its rows and path (None at a
-        # leaf), so by induction it is the uncached tree; the cached and
-        # uncached candidates must agree in every field.
+    def test_every_node_holds_the_best_split_choice(self, seed, min_leaf, scale):
+        # Every node of every exponent's tree from build_trees must hold the
+        # split best_split picks for its rows and path (None at a leaf), so
+        # by induction each tree is the one that exponent grows alone.
         rng = np.random.default_rng(seed)
         ds = support.random_dataset(rng, max_rows=30)
         tc = TestCostVector(
             tuple(scale * float(c) for c in rng.uniform(0.5, 12.0, ds.num_attributes))
         )
-        cache: dict = {}
 
         def walk(node, rows, lam, path):
-            args = (rows, tc, lam, path, min_leaf)
-            alone = best_split(*args)
-            assert best_split(*args, cache=cache) == alone
+            assert list(node.histogram) == list(rows.class_histogram())
+            alone = best_split(rows, tc, lam, path, min_leaf)
             if node.is_leaf:
                 assert alone is None
                 return
@@ -361,13 +362,16 @@ class TestSplitCache:
             walk(node.right, right, lam, path | {node.attribute})
 
         rows = ds.all_instances()
-        for lam in LambdaGrid().values():
-            walk(build_tree(rows, tc, lam, min_leaf, cache).root, rows, lam, frozenset())
+        lams = LambdaGrid().values()
+        trees = build_trees(rows, tc, lams, min_leaf)
+        assert [tree.lambda_used for tree in trees] == list(lams)
+        for lam, tree in zip(lams, trees):
+            walk(tree.root, rows, lam, frozenset())
 
 
 class TestScanReference:
-    """best_split, cached and uncached, against the per-attribute scan
-    reference in tests/oracles.py, field for field and bit for bit."""
+    """best_split against the per-attribute scan reference in
+    tests/oracles.py, field for field and bit for bit."""
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
@@ -393,18 +397,12 @@ class TestScanReference:
             ds.features[rows.indices], ds.labels[rows.indices], k, tc.costs, lam,
             tested, min_leaf,
         )
-        cache: dict = {}
-        for _ in range(2):  # the second call is served from the cache
-            for chosen in (
-                best_split(rows, tc, lam, tested, min_leaf),
-                best_split(rows, tc, lam, tested, min_leaf, cache),
-            ):
-                if chosen is not None:
-                    chosen = (
-                        chosen.attribute, chosen.threshold, chosen.gain_ratio,
-                        chosen.heuristic_value,
-                    )
-                assert chosen == want
+        chosen = best_split(rows, tc, lam, tested, min_leaf)
+        if chosen is not None:
+            chosen = (
+                chosen.attribute, chosen.threshold, chosen.gain_ratio, chosen.heuristic_value,
+            )
+        assert chosen == want
 
 
 class TestBuildTree:
