@@ -22,8 +22,9 @@ def _readonly(values, dtype) -> np.ndarray:
 class Dataset:
     """An immutable table of real-valued features with integer class labels.
 
-    Labels are indices into ``class_names``. Feature storage is
-    column-sliceable so threshold search can scan one attribute at a time.
+    Labels are indices into ``class_names``. Features are one float64
+    array of shape (instances, attributes); the split scan takes a row
+    set's whole block of it at once.
     """
 
     features: np.ndarray
@@ -79,9 +80,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.num_instances
 
-    def column(self, attribute: int) -> np.ndarray:
-        return self.features[:, attribute]
-
     def all_instances(self) -> "InstanceSubset":
         return InstanceSubset(self, np.arange(self.num_instances, dtype=np.int64))
 
@@ -116,9 +114,6 @@ class InstanceSubset:
 
     def class_histogram(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.dataset.num_classes)
-
-    def is_pure(self) -> bool:
-        return int((self.class_histogram() > 0).sum()) <= 1
 
     def partition(self, attribute: int, threshold: float):
         """Split into rows with value <= threshold and the rest."""

@@ -8,7 +8,7 @@ import numpy as np
 
 from .costs import MisclassificationMatrix, TestCostVector, _sum_in_order, total_test_cost
 from .data import InstanceSubset
-from .tree import DecisionTree
+from .tree import DecisionTree, route
 
 __all__ = [
     "CostBreakdown",
@@ -54,9 +54,8 @@ def average_cost(
     """Mean cost of classifying each row: distinct tests on its path plus
     the penalty of its predicted against its true class.
 
-    The rows are routed down the tree as whole arrays, one mask per
-    internal node, and each row's costs are added in ``data.indices``
-    order; tree.classify is the same walk for one row.
+    The rows are routed down the tree as whole arrays by tree.route, and
+    each row's costs are added in ``data.indices`` order.
     """
     if len(data) == 0:
         raise ValueError("cannot average costs over an empty subset")
@@ -67,24 +66,15 @@ def average_cost(
             f"expected a vector of {len(tree.tc_used)} features, "
             f"got shape {(data.dataset.num_attributes,)}"
         )
-    columns = data.dataset.features[data.indices].T
     tests = np.empty(len(data))
     predicted = np.empty(len(data), dtype=np.int64)
-    stack = [(tree.root, np.arange(len(data)), frozenset())]
-    while stack:
-        node, rows, path = stack.pop()
+    for leaf, path, rows in route(tree, data):
         if not rows.size:
             continue
-        if node.is_leaf:
-            if not 0 <= node.predicted_class < mc.num_classes:
-                raise ValueError(f"class indices must lie in [0, {mc.num_classes - 1}]")
-            tests[rows] = total_test_cost(tc, path)
-            predicted[rows] = node.predicted_class
-            continue
-        goes_left = columns[node.attribute][rows] <= node.threshold
-        deeper = path | {node.attribute}
-        stack.append((node.right, rows[~goes_left], deeper))
-        stack.append((node.left, rows[goes_left], deeper))
+        if not 0 <= leaf.predicted_class < mc.num_classes:
+            raise ValueError(f"class indices must lie in [0, {mc.num_classes - 1}]")
+        tests[rows] = total_test_cost(tc, path)
+        predicted[rows] = leaf.predicted_class
     penalties = np.array(mc.rows)[data.labels, predicted]
     return CostBreakdown.from_totals(
         _total_in_order(tests), _total_in_order(penalties), len(data)

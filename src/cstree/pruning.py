@@ -24,7 +24,7 @@ import numpy as np
 
 from .costs import MisclassificationMatrix, TestCostVector, _sum_in_order, total_test_cost
 from .evaluation import CostBreakdown
-from .tree import DecisionTree, TreeNode
+from .tree import DecisionTree, TreeNode, walk
 
 __all__ = [
     "PruneTraceEntry",
@@ -72,24 +72,26 @@ def post_prune(
     if len(tc) != len(tree.tc_used):
         raise ValueError("one test cost per attribute is required")
     entries: list[PruneTraceEntry] = []
-    marked: set[int] = set()
-
-    def visit(node: TreeNode, path_attrs: frozenset[int], node_id: str):
-        """The node's keep totals: each leaf charges its rows the distinct
-        tests on their path, and a parent sums left then right."""
+    # (test cost total, penalty total, node of the new tree) per finished
+    # subtree. Each leaf charges its rows the distinct tests on their path
+    # and a parent sums left then right. Children come first, left before
+    # right, so a node's children are the last two finished.
+    done: list[tuple[float, float, TreeNode]] = []
+    for node, path_attrs, node_id in reversed(list(walk(tree.root))):
         count = int(node.histogram.sum())
         per_row = total_test_cost(tc, path_attrs)
         if node.is_leaf:
-            return per_row * count, _leaf_mc_total(node.histogram, node.predicted_class, mc)
-        deeper = path_attrs | {node.attribute}
-        left_tc, left_mc = visit(node.left, deeper, node_id + ".left")
-        right_tc, right_mc = visit(node.right, deeper, node_id + ".right")
+            mc_total = _leaf_mc_total(node.histogram, node.predicted_class, mc)
+            leaf = TreeNode(histogram=node.histogram, predicted_class=node.predicted_class)
+            done.append((per_row * count, mc_total, leaf))
+            continue
+        right_tc, right_mc, right = done.pop()
+        left_tc, left_mc, left = done.pop()
         totals = (left_tc + right_tc, left_mc + right_mc)
         keep = CostBreakdown.from_totals(*totals, count)
+        majority = _majority(node.histogram)
         prune = CostBreakdown.from_totals(
-            per_row * count,
-            _leaf_mc_total(node.histogram, _majority(node.histogram), mc),
-            count,
+            per_row * count, _leaf_mc_total(node.histogram, majority, mc), count
         )
         decision = prune.average < keep.average or (
             prune_on_tie and prune.average == keep.average
@@ -105,27 +107,11 @@ def post_prune(
             )
         )
         if decision:
-            marked.add(id(node))
-        return totals
-
-    visit(tree.root, frozenset(), "root")
-
-    def rebuild(node: TreeNode) -> TreeNode:
-        if node.is_leaf:
-            return TreeNode(histogram=node.histogram, predicted_class=node.predicted_class)
-        if id(node) in marked:
-            return TreeNode(
-                histogram=node.histogram, predicted_class=_majority(node.histogram)
-            )
-        return TreeNode(
-            histogram=node.histogram,
-            attribute=node.attribute,
-            threshold=node.threshold,
-            left=rebuild(node.left),
-            right=rebuild(node.right),
-        )
-
+            new_node = TreeNode(histogram=node.histogram, predicted_class=majority)
+        else:
+            new_node = TreeNode(node.histogram, node.attribute, node.threshold, left, right)
+        done.append((*totals, new_node))
     pruned_tree = DecisionTree(
-        root=rebuild(tree.root), lambda_used=tree.lambda_used, tc_used=tree.tc_used
+        root=done.pop()[2], lambda_used=tree.lambda_used, tc_used=tree.tc_used
     )
     return pruned_tree, entries

@@ -72,9 +72,9 @@ def _entropy_rows(count_rows: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return np.log2(totals) - _xlog2x(count_rows).sum(axis=1) / totals
 
 
-def _ratio_scans(subset: InstanceSubset, hist, min_leaf_size: int):
-    """Every admissible (attribute, threshold) pair of the subset, found in
-    one pass over all attributes at once.
+def _ratio_scans(dataset, rows: np.ndarray, hist, min_leaf_size: int):
+    """Every admissible (attribute, threshold) pair of the dataset's
+    ``rows``, found in one pass over all attributes at once.
 
     Each column is sorted stably; a boundary lies between distinct
     consecutive sorted values, and is admissible when both children hold
@@ -83,8 +83,8 @@ def _ratio_scans(subset: InstanceSubset, hist, min_leaf_size: int):
     thresholds, ratios) as flat arrays in attribute-major order, with
     thresholds ascending within an attribute.
     """
-    n = len(subset)
-    columns = subset.dataset.features[subset.indices].T
+    n = len(rows)
+    columns = dataset.features[rows].T
     order = np.argsort(columns, axis=1, kind="stable")
     ordered = np.take_along_axis(columns, order, axis=1)
     attributes, position = np.nonzero(ordered[:, :-1] < ordered[:, 1:])
@@ -92,9 +92,9 @@ def _ratio_scans(subset: InstanceSubset, hist, min_leaf_size: int):
     attributes, position = attributes[keep], position[keep]
     # class counts left of every boundary; a count is at most n, so int32
     # holds it and keeps the (m, n, k) block small
-    ordered_labels = subset.labels[order]
+    ordered_labels = dataset.labels[rows][order]
     below = np.cumsum(
-        ordered_labels[:, :, None] == np.arange(subset.dataset.num_classes),
+        ordered_labels[:, :, None] == np.arange(dataset.num_classes),
         axis=1,
         dtype=np.int32,
     )
@@ -152,8 +152,8 @@ def _first_maxima(ratios: np.ndarray, attributes: np.ndarray, weights: np.ndarra
     return picks, scores[np.arange(len(picks)), picks]
 
 
-def _splits(subset, hist, tc, lams, weights, tested_on_path, min_leaf_size):
-    """Each exponent's best split of one row set, in the order of ``lams``
+def _splits(dataset, rows, hist, tc, lams, weights, tested_on_path, min_leaf_size):
+    """Each exponent's best split of the dataset's ``rows``, in the order of ``lams``
     (``weights`` holds their rows of _weights), or None when the row set
     has no admissible pair.
 
@@ -161,9 +161,9 @@ def _splits(subset, hist, tc, lams, weights, tested_on_path, min_leaf_size):
     whose power overflows raises ValueError, but only where an admissible
     pair of that attribute needs the weight.
     """
-    if len(subset) < 2 * min_leaf_size or int((hist > 0).sum()) <= 1:
+    if len(rows) < 2 * min_leaf_size or int((hist > 0).sum()) <= 1:
         return None
-    attributes, thresholds, ratios = _ratio_scans(subset, hist, min_leaf_size)
+    attributes, thresholds, ratios = _ratio_scans(dataset, rows, hist, min_leaf_size)
     if not len(ratios):
         return None
     weights = weights.copy()
@@ -198,7 +198,10 @@ def best_split(
     """
     lams = _checked_exponents([lam], subset, tc, min_leaf_size)
     hist = subset.class_histogram()
-    splits = _splits(subset, hist, tc, lams, _weights(tc, lams), tested_on_path, min_leaf_size)
+    splits = _splits(
+        subset.dataset, subset.indices, hist, tc, lams, _weights(tc, lams), tested_on_path,
+        min_leaf_size,
+    )
     return None if splits is None else splits[0]
 
 
@@ -222,6 +225,25 @@ class TreeNode:
         return self.attribute is None
 
 
+def walk(root: TreeNode):
+    """Every node under ``root`` as (node, attributes tested above it, id
+    such as "root.left.right"), on an explicit stack so that any depth
+    works. Parents come first and right subtrees before left, so
+    ``reversed`` of the walk is children first, left before right.
+
+    A node's children are read, and pushed left then right, only when the
+    walk resumes after it. So a caller that pushes one item per child, left
+    then right, onto a stack of its own pops each item with its node."""
+    stack = [(root, frozenset(), "root")]
+    while stack:
+        node, path, node_id = stack.pop()
+        yield node, path, node_id
+        if not node.is_leaf:
+            deeper = path | {node.attribute}
+            stack.append((node.left, deeper, node_id + ".left"))
+            stack.append((node.right, deeper, node_id + ".right"))
+
+
 @dataclass(eq=False)
 class DecisionTree:
     """A grown tree plus the exponent and test costs that grew it."""
@@ -231,44 +253,10 @@ class DecisionTree:
     tc_used: TestCostVector
 
     def node_count(self) -> int:
-        def count(node):
-            if node.is_leaf:
-                return 1
-            return 1 + count(node.left) + count(node.right)
-
-        return count(self.root)
+        return sum(1 for _ in walk(self.root))
 
     def leaf_count(self) -> int:
-        def count(node):
-            if node.is_leaf:
-                return 1
-            return count(node.left) + count(node.right)
-
-        return count(self.root)
-
-    def internal_nodes(self) -> int:
-        return self.node_count() - self.leaf_count()
-
-
-def _subtrees(subset, tc, lams, weights, tested_on_path, min_leaf_size) -> list[TreeNode]:
-    """The node each exponent's tree grows at ``subset``, in the order of
-    ``lams``; exponents that pick the same split recurse together."""
-    hist = subset.class_histogram()
-    splits = _splits(subset, hist, tc, lams, weights, tested_on_path, min_leaf_size)
-    if splits is None:
-        return [TreeNode(histogram=hist, predicted_class=int(np.argmax(hist)))] * len(lams)
-    groups: dict[tuple[int, float], list[int]] = {}
-    for i, split in enumerate(splits):
-        groups.setdefault((split.attribute, split.threshold), []).append(i)
-    nodes: list[TreeNode] = [None] * len(lams)
-    for (attribute, threshold), group in groups.items():
-        left, right = subset.partition(attribute, threshold)
-        deeper = tested_on_path | {attribute}
-        lefts = _subtrees(left, tc, lams[group], weights[group], deeper, min_leaf_size)
-        rights = _subtrees(right, tc, lams[group], weights[group], deeper, min_leaf_size)
-        for i, left_node, right_node in zip(group, lefts, rights):
-            nodes[i] = TreeNode(hist, attribute, threshold, left_node, right_node)
-    return nodes
+        return sum(node.is_leaf for node, _, _ in walk(self.root))
 
 
 def build_trees(
@@ -278,20 +266,45 @@ def build_trees(
     min_leaf_size: int = DEFAULT_MIN_LEAF,
 ) -> list[DecisionTree]:
     """Grow one tree per exponent of ``lams``, each finite and <= 0, in
-    one recursion over the training rows.
+    one pass over the training rows.
 
     Growth stops at pure subsets, at subsets too small to split into two
     children of min_leaf_size, and where no candidate has positive gain.
     Attributes may be re-tested deeper down with new thresholds. Each row
     set is scanned once for all the exponents whose trees reach it, and
     each exponent picks from the same products as best_split, so every
-    tree is the one that exponent grows alone.
+    tree is the one that exponent grows alone. Exponents that pick the
+    same split grow together, depth first, left before right.
     """
     if len(train) == 0:
         raise ValueError("cannot grow a tree from an empty training set")
     lams = _checked_exponents(lams, train, tc, min_leaf_size)
-    roots = _subtrees(train, tc, np.array(lams), _weights(tc, lams), frozenset(), min_leaf_size)
-    return [DecisionTree(root=root, lambda_used=lam, tc_used=tc) for root, lam in zip(roots, lams)]
+    dataset, exponents, weights = train.dataset, np.array(lams), _weights(tc, lams)
+    # each exponent's root hangs as the left child of a placeholder
+    tops = [TreeNode(histogram=None) for _ in lams]
+    # (rows, the exponents whose trees reach them, attributes tested above,
+    # those exponents' parent nodes, the side the new nodes hang on)
+    stack = [(train.indices, np.arange(len(lams)), frozenset(), tops, "left")]
+    while stack:
+        rows, group, path, parents, side = stack.pop()
+        hist = np.bincount(dataset.labels[rows], minlength=dataset.num_classes)
+        lams_here, weights_here = exponents[group], weights[group]
+        splits = _splits(dataset, rows, hist, tc, lams_here, weights_here, path, min_leaf_size)
+        if splits is None:
+            nodes = [TreeNode(histogram=hist, predicted_class=int(np.argmax(hist)))] * len(group)
+        else:
+            nodes = [TreeNode(hist, split.attribute, split.threshold) for split in splits]
+            picks = [(split.attribute, split.threshold) for split in splits]
+            # pushed last to first, so each pick's left subtree grows first
+            for attribute, threshold in reversed(dict.fromkeys(picks)):
+                members = [i for i, pick in enumerate(picks) if pick == (attribute, threshold)]
+                goes_left = dataset.features[rows, attribute] <= threshold
+                above, deeper = [nodes[i] for i in members], path | {attribute}
+                stack.append((rows[~goes_left], group[members], deeper, above, "right"))
+                stack.append((rows[goes_left], group[members], deeper, above, "left"))
+        for parent, node in zip(parents, nodes):
+            setattr(parent, side, node)
+    return [DecisionTree(top.left, lam, tc) for top, lam in zip(tops, lams)]
 
 
 def build_tree(
@@ -317,95 +330,120 @@ def classify(tree: DecisionTree, instance) -> tuple[int, frozenset[int]]:
     return int(node.predicted_class), frozenset(tested)
 
 
+def route(tree: DecisionTree, data: InstanceSubset):
+    """Each leaf in walk order as (leaf, attributes on its path, positions
+    in ``data`` of the rows that reach it). Rows go down as whole arrays,
+    one mask per internal node; classify is the same walk for one row."""
+    columns = data.dataset.features[data.indices].T
+    reaching = [np.arange(len(data))]  # in step with the walk's own stack
+    for node, path, _ in walk(tree.root):
+        rows = reaching.pop()
+        if node.is_leaf:
+            yield node, path, rows
+            continue
+        goes_left = columns[node.attribute][rows] <= node.threshold
+        reaching += [rows[goes_left], rows[~goes_left]]
+
+
 def structural_equal(a: DecisionTree, b: DecisionTree) -> bool:
     """Same shape, tests, thresholds, predictions, and histograms."""
-
-    def eq(x: TreeNode, y: TreeNode) -> bool:
-        if x.is_leaf != y.is_leaf:
-            return False
-        if list(x.histogram) != list(y.histogram):
+    # the walks stay in step for as long as the nodes they meet agree
+    for (x, _, _), (y, _, _) in zip(walk(a.root), walk(b.root)):
+        if x.is_leaf != y.is_leaf or list(x.histogram) != list(y.histogram):
             return False
         if x.is_leaf:
-            return x.predicted_class == y.predicted_class
-        return (
-            x.attribute == y.attribute
-            and x.threshold == y.threshold
-            and eq(x.left, y.left)
-            and eq(x.right, y.right)
-        )
-
-    return eq(a.root, b.root)
-
-
-def _node_to_json(node: TreeNode):
-    if node.is_leaf:
-        return {
-            "leaf": int(node.predicted_class),
-            "histogram": [int(c) for c in node.histogram],
-        }
-    return {
-        "attribute": int(node.attribute),
-        "threshold": float(node.threshold),
-        "left": _node_to_json(node.left),
-        "right": _node_to_json(node.right),
-    }
+            if x.predicted_class != y.predicted_class:
+                return False
+        elif x.attribute != y.attribute or x.threshold != y.threshold:
+            return False
+    return True
 
 
 def serialize(tree: DecisionTree) -> str:
     """Render the tree as JSON: structure, thresholds at full precision,
-    leaf histograms, the exponent, and the test costs."""
+    leaf histograms, the exponent, and the test costs. A tree nested too
+    deeply for json to write raises ValueError, as json could not read it
+    back either."""
+    # children first, left before right: a node's children are the last two built
+    built: list[dict] = []
+    for node, _, _ in reversed(list(walk(tree.root))):
+        if node.is_leaf:
+            built.append(
+                {"leaf": int(node.predicted_class), "histogram": [int(c) for c in node.histogram]}
+            )
+        else:
+            right, left = built.pop(), built.pop()
+            built.append(
+                {
+                    "attribute": int(node.attribute),
+                    "threshold": float(node.threshold),
+                    "left": left,
+                    "right": right,
+                }
+            )
     doc = {
         "lambda": float(tree.lambda_used),
         "test_costs": [float(c) for c in tree.tc_used.costs],
-        "root": _node_to_json(tree.root),
+        "root": built.pop(),
     }
-    return json.dumps(doc, separators=(",", ":"))
+    try:
+        return json.dumps(doc, separators=(",", ":"))
+    except RecursionError:
+        raise ValueError("tree is nested too deeply to write as JSON") from None
 
 
-def _node_from_json(obj, num_attributes: int, leaf_width: list[int | None]) -> TreeNode:
-    if not isinstance(obj, dict):
-        raise ValueError("tree nodes must be JSON objects")
-    keys = set(obj)
-    if keys == {"leaf", "histogram"}:
-        hist = obj["histogram"]
-        if not isinstance(hist, list) or not hist or not all(_is_int(c) and c >= 0 for c in hist):
-            raise ValueError("leaf histogram must be a list of nonnegative integers")
-        if leaf_width[0] is None:
-            leaf_width[0] = len(hist)
-        elif leaf_width[0] != len(hist):
-            raise ValueError("all leaf histograms must have the same length")
-        predicted = obj["leaf"]
-        if not _is_int(predicted) or not 0 <= predicted < len(hist):
-            raise ValueError("leaf class must index the histogram")
-        if sum(hist) >= 2**63:
-            raise ValueError("histogram counts must total less than 2**63")
-        arr = np.array(hist, dtype=np.int64)
-        if predicted != int(np.argmax(arr)):
-            raise ValueError("leaf class must be the majority of its histogram")
-        return TreeNode(histogram=arr, predicted_class=predicted)
-    if keys == {"attribute", "threshold", "left", "right"}:
-        attribute = obj["attribute"]
-        if not _is_int(attribute) or not 0 <= attribute < num_attributes:
-            raise ValueError(f"attribute index must lie in [0, {num_attributes - 1}]")
-        threshold = obj["threshold"]
-        if not _is_number(threshold) or not math.isfinite(threshold):
-            raise ValueError("threshold must be a finite number")
-        left = _node_from_json(obj["left"], num_attributes, leaf_width)
-        right = _node_from_json(obj["right"], num_attributes, leaf_width)
-        # each child's total fits an int64, so these sums are exact
-        if int(left.histogram.sum()) + int(right.histogram.sum()) >= 2**63:
-            raise ValueError("histogram counts must total less than 2**63")
-        return TreeNode(
-            histogram=left.histogram + right.histogram,
-            attribute=attribute,
-            threshold=float(threshold),
-            left=left,
-            right=right,
-        )
-    raise ValueError(
-        "node must have exactly the keys {leaf, histogram} or "
-        "{attribute, threshold, left, right}"
-    )
+def _tree_from_json(top, num_attributes: int) -> TreeNode:
+    """The checked tree of a parsed JSON root node."""
+    root = TreeNode(histogram=None)
+    pending = [top]  # in step with the walk's own stack
+    nodes: list[TreeNode] = []
+    width = None
+    # the walk reads a node's children only after this loop has hung them
+    for node, _, _ in walk(root):
+        obj = pending.pop()
+        if not isinstance(obj, dict):
+            raise ValueError("tree nodes must be JSON objects")
+        keys = set(obj)
+        if keys == {"leaf", "histogram"}:
+            hist = obj["histogram"]
+            if not (isinstance(hist, list) and hist and all(_is_int(c) and c >= 0 for c in hist)):
+                raise ValueError("leaf histogram must be a list of nonnegative integers")
+            width = width or len(hist)
+            if len(hist) != width:
+                raise ValueError("all leaf histograms must have the same length")
+            predicted = obj["leaf"]
+            if not _is_int(predicted) or not 0 <= predicted < len(hist):
+                raise ValueError("leaf class must index the histogram")
+            if sum(hist) >= 2**63:
+                raise ValueError("histogram counts must total less than 2**63")
+            node.histogram = np.array(hist, dtype=np.int64)
+            if predicted != int(np.argmax(node.histogram)):
+                raise ValueError("leaf class must be the majority of its histogram")
+            node.predicted_class = predicted
+        elif keys == {"attribute", "threshold", "left", "right"}:
+            attribute = obj["attribute"]
+            if not _is_int(attribute) or not 0 <= attribute < num_attributes:
+                raise ValueError(f"attribute index must lie in [0, {num_attributes - 1}]")
+            threshold = obj["threshold"]
+            if not _is_number(threshold) or not math.isfinite(threshold):
+                raise ValueError("threshold must be a finite number")
+            node.attribute, node.threshold = attribute, float(threshold)
+            node.left, node.right = TreeNode(histogram=None), TreeNode(histogram=None)
+            pending += [obj["left"], obj["right"]]
+        else:
+            raise ValueError(
+                "node must have exactly the keys {leaf, histogram} or "
+                "{attribute, threshold, left, right}"
+            )
+        nodes.append(node)
+    for node in reversed(nodes):
+        if not node.is_leaf:
+            left, right = node.left.histogram, node.right.histogram
+            # each child's total fits an int64, so these sums are exact
+            if int(left.sum()) + int(right.sum()) >= 2**63:
+                raise ValueError("histogram counts must total less than 2**63")
+            node.histogram = left + right
+    return root
 
 
 def deserialize(text: str) -> DecisionTree:
@@ -424,18 +462,13 @@ def deserialize(text: str) -> DecisionTree:
     if not isinstance(doc, dict) or set(doc) != {"lambda", "test_costs", "root"}:
         raise ValueError("top level must be an object with lambda, test_costs, root")
     lam = doc["lambda"]
-    if not _is_number(lam) or not lam <= 0:
-        raise ValueError("lambda must be a number <= 0")
+    if not _is_number(lam) or not (math.isfinite(lam) and lam <= 0):
+        raise ValueError("lambda must be a finite number <= 0")
     costs = doc["test_costs"]
     if not isinstance(costs, list) or not all(_is_number(c) for c in costs):
         raise ValueError("test_costs must be a list of numbers")
     tc = TestCostVector(tuple(costs))
-    leaf_width: list[int | None] = [None]
-    try:
-        # the parser's nesting limit and this walk's need not agree
-        root = _node_from_json(doc["root"], len(tc), leaf_width)
-    except RecursionError:
-        raise ValueError("tree JSON is nested too deeply") from None
+    root = _tree_from_json(doc["root"], len(tc))
     return DecisionTree(root=root, lambda_used=float(lam), tc_used=tc)
 
 
@@ -452,16 +485,8 @@ def check_training_rows(tree: DecisionTree, data: InstanceSubset) -> None:
         )
     if data.dataset.num_attributes != len(tree.tc_used):
         raise ValueError("data and tree disagree on the number of attributes")
-
-    def check(node: TreeNode, sub: InstanceSubset) -> None:
-        if node.is_leaf:
-            if list(sub.class_histogram()) != list(node.histogram):
-                raise ValueError(
-                    "routed rows do not reproduce the stored leaf histograms"
-                )
-            return
-        left, right = sub.partition(node.attribute, node.threshold)
-        check(node.left, left)
-        check(node.right, right)
-
-    check(tree.root, data)
+    labels = data.labels
+    for leaf, _, rows in route(tree, data):
+        counts = np.bincount(labels[rows], minlength=data.dataset.num_classes)
+        if list(counts) != list(leaf.histogram):
+            raise ValueError("routed rows do not reproduce the stored leaf histograms")

@@ -35,6 +35,38 @@ def deep_tree_json(depth):
     )
 
 
+def alternating_pairs_csv(path):
+    """3,000 rows of one column x = i with labels in pairs, a a b b a a ...;
+    the tree grown on it is a chain about 1,500 splits deep."""
+    lines = [f"{i},{'ab'[(i // 2) % 2]}\n" for i in range(3000)]
+    path.write_text("x,y\n" + "".join(lines), encoding="utf-8")
+    return path
+
+
+def chain_prune_inputs(tmp_path, depth):
+    """A table of rows x = 0..depth labelled by the parity of x, and the
+    tree JSON that splits off its largest remaining x at each of ``depth``
+    levels of a left spine, one row per leaf."""
+    data = tmp_path / "chain.csv"
+    data.write_text(
+        "x,y\n" + "".join(f"{x},{'ab'[x % 2]}\n" for x in range(depth + 1)), encoding="utf-8"
+    )
+
+    def leaf(x):
+        return '{"leaf":%d,"histogram":[%d,%d]}' % (x % 2, 1 - x % 2, x % 2)
+
+    splits = "".join(
+        '{"attribute":0,"threshold":%r,"left":' % (depth - k - 0.5) for k in range(depth)
+    )
+    rights = "".join(',"right":' + leaf(x) + "}" for x in range(1, depth + 1))
+    fixture = tmp_path / "chain.json"
+    fixture.write_text(
+        '{"lambda":0.0,"test_costs":[1.0],"root":' + splits + leaf(0) + rights + "}",
+        encoding="utf-8",
+    )
+    return data, fixture
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -284,6 +316,33 @@ class TestExperiment:
         assert blobs[0] == blobs[1]
 
 
+class TestDeepTrees:
+    """Trees deeper than Python's recursion limit train and prune."""
+
+    @pytest.mark.parametrize("min_leaf", ["1", "2"])
+    def test_train_alternating_pairs(self, capsys, tmp_path, min_leaf):
+        data = alternating_pairs_csv(tmp_path / "pairs.csv")
+        code, out, err = run(capsys, "train", "--data", str(data), "--min-leaf", min_leaf)
+        assert code == 0 and err == ""
+        assert "nodes 2999  leaves 1500\n" in out
+
+    def test_tree_out_too_deep_for_json(self, capsys, tmp_path):
+        data = alternating_pairs_csv(tmp_path / "pairs.csv")
+        tree_out = tmp_path / "tree.json"
+        code, _, err = run(capsys, "train", "--data", str(data), "--tree-out", str(tree_out))
+        assert code == 1
+        assert err == "error: tree is nested too deeply to write as JSON\n"
+        assert not tree_out.exists()
+
+    def test_prune_chain(self, capsys, tmp_path):
+        data, fixture = chain_prune_inputs(tmp_path, 900)
+        code, out, err = run(capsys, "prune", "--fixture", str(fixture), "--data", str(data))
+        assert code == 0 and err == ""
+        assert "initial average cost 1.0 over 901 rows\n" in out
+        assert out.count(" -> keep\n") == 900
+        assert out.endswith("pruned average cost 1.0; nodes 1801\n")
+
+
 class TestExitCodes:
     def test_missing_data_file(self, capsys):
         code, _, err = run(capsys, "train", "--data", "/nonexistent/rows.csv")
@@ -345,6 +404,8 @@ class TestExitCodes:
             (lambda d: d.update(test_costs=[True] * 8), "test_costs"),
             (lambda d: d.update({"lambda": False}), "lambda"),
             (lambda d: d.update({"lambda": float("nan")}), "lambda"),
+            (lambda d: d.update({"lambda": float("-inf")}), "lambda must be a finite number <= 0"),
+            (lambda d: d.update({"lambda": float("nan")}), "lambda must be a finite number <= 0"),
             (lambda d: d["root"].update(attribute=True), "attribute index"),
             (lambda d: d["root"].update(threshold=True), "threshold"),
             (lambda d: d["root"]["right"]["right"].update(leaf=True), "leaf class"),
@@ -364,7 +425,7 @@ class TestExitCodes:
                 ),
                 "histogram counts must total less than 2**63",
             ),
-            # a text replacing the document, too deep for json.dumps to write
+            # a text replacing the document, too deep for json.loads to read
             (lambda d: deep_tree_json(5000), "tree JSON is nested too deeply"),
         ],
     )

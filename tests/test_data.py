@@ -136,12 +136,10 @@ class TestInstanceSubset:
         assert left.class_histogram().tolist() == [13, 2]
         assert right.class_histogram().tolist() == [2, 7]
 
-    def test_is_pure(self, sample):
+    def test_nested_partition_is_one_class(self, sample):
         left, _ = sample.all_instances().partition(1, 125.5)
         inner, _ = left.partition(4, 56.0)
         assert inner.class_histogram().tolist() == [9, 0]
-        assert inner.is_pure()
-        assert not left.is_pure()
 
     def test_values_follow_subset_order(self, sample):
         subset = InstanceSubset(sample, np.array([5, 2, 9]))

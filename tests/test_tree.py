@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 import oracles
 import support
 from cstree.competition import LambdaGrid
-from cstree.costs import TestCostVector
+from cstree.costs import TestCostVector, two_class_matrix
 from cstree.data import Dataset, InstanceSubset
+from cstree.evaluation import average_cost
+from cstree.pruning import post_prune
 from cstree.tree import (
     _first_maxima,
     MIN_SPLIT_INFO,
@@ -677,3 +679,57 @@ class TestAttachInstances:
         )
         with pytest.raises(ValueError, match="classes"):
             check_training_rows(tree, ds.all_instances())
+
+
+class TestDeepTrees:
+    """Every walk on trees three times deeper than Python's default
+    recursion limit."""
+
+    DEPTH = 3000
+
+    def chain(self):
+        """Rows x = 0..DEPTH labelled by the parity of x, and the left spine
+        that splits off the largest remaining x at each level, one row per
+        leaf."""
+        xs = np.arange(self.DEPTH + 1)
+        ds = two_class(xs[:, None], xs % 2)
+
+        def leaf(x):
+            return TreeNode(histogram=np.eye(2, dtype=np.int64)[x % 2], predicted_class=x % 2)
+
+        node = leaf(0)
+        for x in range(1, self.DEPTH + 1):
+            right = leaf(x)
+            node = TreeNode(node.histogram + right.histogram, 0, x - 0.5, node, right)
+        return ds, DecisionTree(node, 0.0, TestCostVector((1.0,)))
+
+    def test_counts_comparison_and_routing(self):
+        ds, tree = self.chain()
+        assert (tree.node_count(), tree.leaf_count()) == (2 * self.DEPTH + 1, self.DEPTH + 1)
+        check_training_rows(tree, ds.all_instances())
+        _, other = self.chain()
+        assert structural_equal(tree, other)
+        deepest = other.root
+        while not deepest.left.is_leaf:
+            deepest = deepest.left
+        deepest.threshold = 0.25
+        assert not structural_equal(tree, other)
+
+    def test_cost_and_pruning(self):
+        ds, tree = self.chain()
+        tc, mc = tree.tc_used, two_class_matrix(10.0, 10.0)
+        cost = average_cost(tree, ds.all_instances(), tc, mc)
+        assert (cost.test_cost_total, cost.misclassification_total) == (self.DEPTH + 1, 0.0)
+        pruned, trace = post_prune(tree, tc, mc)
+        assert [entry.node_id for entry in trace[:2]] == [
+            "root" + ".left" * (self.DEPTH - 1),
+            "root" + ".left" * (self.DEPTH - 2),
+        ]
+        assert trace[-1].node_id == "root" and len(trace) == self.DEPTH
+        assert not any(entry.pruned for entry in trace)
+        assert structural_equal(pruned, tree)
+
+    def test_too_deep_for_json(self):
+        _, tree = self.chain()
+        with pytest.raises(ValueError, match="tree is nested too deeply to write as JSON"):
+            serialize(tree)
