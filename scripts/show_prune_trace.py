@@ -19,10 +19,9 @@ def main() -> int:
     dataset = load_csv(ASSETS / "diabetes_sample.csv")
     tree = deserialize((ASSETS / "prune_example_tree.json").read_text(encoding="utf-8"))
     tc, mc = load_cost_file(ASSETS / "example_costs.json")
-    rows = dataset.all_instances()
-    check_training_rows(tree, rows)
+    check_training_rows(tree, dataset)
 
-    initial = average_cost(tree, rows, tc, mc)
+    initial = average_cost(tree, dataset, tc, mc)
     print(f"tree: {tree.node_count()} nodes, exponent {tree.lambda_used}")
     print(f"test costs {tuple(int(c) for c in tc.costs)}")
     print(f"initial average cost {initial.average:.4f} over {initial.count} rows")
@@ -43,7 +42,7 @@ def main() -> int:
             f"-> {word}"
         )
 
-    final = average_cost(pruned, rows, tc, mc)
+    final = average_cost(pruned, dataset, tc, mc)
     print()
     print(f"pruned: {pruned.node_count()} nodes, average cost {final.average:.4f}")
     saving = (initial.average - final.average) / initial.average

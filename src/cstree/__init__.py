@@ -22,7 +22,7 @@ from .costs import (
     total_test_cost,
     two_class_matrix,
 )
-from .data import Dataset, InstanceSubset, load_csv, split_train_test
+from .data import Dataset, load_csv, split_train_test
 from .evaluation import (
     CostBreakdown,
     average_cost,
@@ -66,7 +66,6 @@ __all__ = [
     "DecisionTree",
     "DEFAULT_MC",
     "ExperimentConfig",
-    "InstanceSubset",
     "LambdaGrid",
     "LambdaRecord",
     "MisclassificationMatrix",

@@ -228,7 +228,7 @@ def cmd_train(args) -> None:
             dataset, args.train_fraction, trial_streams(args.seed, 0)[1]
         )
     else:
-        train, test = dataset.all_instances(), None
+        train, test = dataset, None
     tree = build_tree(train, tc, lam, args.min_leaf)
     entries = []
     if _prune_mode(args) == "post":
@@ -267,11 +267,10 @@ def cmd_prune(args) -> None:
     tc = fixed_tc if fixed_tc is not None else tree.tc_used
     if len(tc) != dataset.num_attributes:
         raise ValueError("test cost count and attribute count differ")
-    everything = dataset.all_instances()
-    check_training_rows(tree, everything)
-    initial = average_cost(tree, everything, tc, mc)
+    check_training_rows(tree, dataset)
+    initial = average_cost(tree, dataset, tc, mc)
     pruned_tree, entries = post_prune(tree, tc, mc, args.prune_on_tie)
-    final = average_cost(pruned_tree, everything, tc, mc)
+    final = average_cost(pruned_tree, dataset, tc, mc)
     for line in _mapping_lines(dataset):
         print(line)
     print(f"initial average cost {initial.average} over {initial.count} rows")

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .costs import MisclassificationMatrix, TestCostVector
-from .data import InstanceSubset
+from .data import Dataset
 from .evaluation import CostBreakdown, average_cost
 from .pruning import post_prune
 from .tree import DEFAULT_MIN_LEAF, DecisionTree, build_trees
@@ -80,7 +80,7 @@ class SweepResult:
 
 
 def run_competitions(
-    train: InstanceSubset,
+    train: Dataset,
     tc: TestCostVector,
     mc: MisclassificationMatrix,
     grid: LambdaGrid | None = None,
@@ -114,7 +114,7 @@ def run_competitions(
 
 
 def run_competition(
-    train: InstanceSubset,
+    train: Dataset,
     tc: TestCostVector,
     mc: MisclassificationMatrix,
     grid: LambdaGrid | None = None,

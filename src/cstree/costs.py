@@ -192,6 +192,8 @@ def load_cost_file(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
+        except RecursionError:
+            raise ValueError(f"{path}: JSON is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top level must be a JSON object")
     unknown = set(doc) - {"test_costs", "mc_matrix"}

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Dataset", "InstanceSubset", "load_csv", "split_train_test"]
+__all__ = ["Dataset", "load_csv", "split_train_test"]
 
 
 def _readonly(values, dtype) -> np.ndarray:
@@ -80,47 +80,24 @@ class Dataset:
     def __len__(self) -> int:
         return self.num_instances
 
-    def all_instances(self) -> "InstanceSubset":
-        return InstanceSubset(self, np.arange(self.num_instances, dtype=np.int64))
+    def take(self, rows) -> "Dataset":
+        """The rows at positions ``rows``, in that order, as a dataset that
+        keeps every class name, even of a class none of the rows has.
 
-
-@dataclass(frozen=True, eq=False)
-class InstanceSubset:
-    """A selection of dataset rows sharing the parent's feature storage."""
-
-    dataset: Dataset
-    indices: np.ndarray
-
-    def __post_init__(self):
-        indices = _readonly(self.indices, np.int64)
-        object.__setattr__(self, "indices", indices)
-        if indices.ndim != 1:
-            raise ValueError("indices must be a 1-D array")
-        if indices.size:
-            if int(indices.min()) < 0 or int(indices.max()) >= len(self.dataset):
-                raise ValueError("subset indices must address rows of the parent dataset")
-            if np.unique(indices).size != indices.size:
-                raise ValueError("subset indices must be distinct")
-
-    def __len__(self) -> int:
-        return int(self.indices.size)
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self.dataset.labels[self.indices]
-
-    def values(self, attribute: int) -> np.ndarray:
-        return self.dataset.features[self.indices, attribute]
-
-    def class_histogram(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.dataset.num_classes)
-
-    def partition(self, attribute: int, threshold: float):
-        """Split into rows with value <= threshold and the rest."""
-        mask = self.values(attribute) <= threshold
-        left = InstanceSubset(self.dataset, self.indices[mask])
-        right = InstanceSubset(self.dataset, self.indices[~mask])
-        return left, right
+        Positions may repeat. A position out of range, a negative one or
+        an empty selection raises ValueError.
+        """
+        rows = np.asarray(rows)
+        if not rows.size:
+            raise ValueError("a subset needs at least one instance")
+        if (
+            rows.ndim != 1 or rows.dtype.kind not in "iu"
+            or int(rows.min()) < 0 or int(rows.max()) >= len(self)
+        ):
+            raise ValueError(f"row positions must be integers in [0, {len(self) - 1}]")
+        return Dataset(
+            self.features[rows], self.labels[rows], self.attribute_names, self.class_names
+        )
 
 
 def load_csv(path, label_column: str | None = None) -> Dataset:
@@ -133,8 +110,13 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     messages.
     """
     path = Path(path)
+    rows: list[list[str]] = []
     with path.open(newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows.extend(csv.reader(fh))
+        except csv.Error as exc:
+            # rows holds the records read before the bad one; the header is row 0
+            raise ValueError(f"{path}: row {len(rows)}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: file is empty")
     header = [name.strip() for name in rows[0]]
@@ -193,7 +175,8 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
 
 
 def split_train_test(dataset: Dataset, train_fraction: float, rng: np.random.Generator):
-    """Partition all rows into disjoint train/test subsets.
+    """Partition all rows into disjoint train and test datasets, each in
+    the rows' original order.
 
     The train size is ``train_fraction * n`` rounded half up. The draw is a
     uniform permutation without class stratification; pass a seeded
@@ -206,6 +189,4 @@ def split_train_test(dataset: Dataset, train_fraction: float, rng: np.random.Gen
     if train_size < 1 or n - train_size < 1:
         raise ValueError(f"a {train_fraction} split of {n} rows leaves one side empty")
     perm = rng.permutation(n)
-    train = np.sort(perm[:train_size])
-    test = np.sort(perm[train_size:])
-    return InstanceSubset(dataset, train), InstanceSubset(dataset, test)
+    return dataset.take(np.sort(perm[:train_size])), dataset.take(np.sort(perm[train_size:]))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import MisclassificationMatrix, TestCostVector, _sum_in_order, total_test_cost
-from .data import InstanceSubset
+from .data import Dataset
 from .tree import DecisionTree, route
 
 __all__ = [
@@ -47,7 +47,7 @@ def _total_in_order(per_row: np.ndarray) -> float:
 
 def average_cost(
     tree: DecisionTree,
-    data: InstanceSubset,
+    data: Dataset,
     tc: TestCostVector,
     mc: MisclassificationMatrix,
 ) -> CostBreakdown:
@@ -55,16 +55,14 @@ def average_cost(
     the penalty of its predicted against its true class.
 
     The rows are routed down the tree as whole arrays by tree.route, and
-    each row's costs are added in ``data.indices`` order.
+    each row's costs are added in row order.
     """
-    if len(data) == 0:
-        raise ValueError("cannot average costs over an empty subset")
-    if mc.num_classes != data.dataset.num_classes:
+    if mc.num_classes != data.num_classes:
         raise ValueError("matrix classes and dataset classes differ")
-    if data.dataset.num_attributes != len(tree.tc_used):
+    if data.num_attributes != len(tree.tc_used):
         raise ValueError(
             f"expected a vector of {len(tree.tc_used)} features, "
-            f"got shape {(data.dataset.num_attributes,)}"
+            f"got shape {(data.num_attributes,)}"
         )
     tests = np.empty(len(data))
     predicted = np.empty(len(data), dtype=np.int64)

@@ -27,7 +27,7 @@ from .costs import (
     load_cost_file,
     two_class_matrix,
 )
-from .data import Dataset, InstanceSubset, load_csv, split_train_test
+from .data import Dataset, load_csv, split_train_test
 from .evaluation import average_cost, average_reduction_ratio, reduction_ratio
 from .pruning import PruneTraceEntry
 from .tree import DEFAULT_MIN_LEAF
@@ -192,7 +192,7 @@ def run_experiment(config: ExperimentConfig):
 def trial_rows(
     trial: int,
     sweeps: dict,
-    test: InstanceSubset,
+    test: Dataset,
     tc: TestCostVector,
     mc: MisclassificationMatrix,
 ) -> list[TrialReportRow]:

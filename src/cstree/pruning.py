@@ -71,13 +71,22 @@ def post_prune(
         raise ValueError("matrix classes and dataset classes differ")
     if len(tc) != len(tree.tc_used):
         raise ValueError("one test cost per attribute is required")
+    walked = list(walk(tree.root))
+    # each internal node's id such as "root.left.right", in walk order, built
+    # on a list kept in step with the walk's own stack
+    node_ids, pending = [], ["root"]
+    for node, _ in walked:
+        node_id = pending.pop()
+        if not node.is_leaf:
+            node_ids.append(node_id)
+            pending += [node_id + ".left", node_id + ".right"]
     entries: list[PruneTraceEntry] = []
     # (test cost total, penalty total, node of the new tree) per finished
     # subtree. Each leaf charges its rows the distinct tests on their path
     # and a parent sums left then right. Children come first, left before
     # right, so a node's children are the last two finished.
     done: list[tuple[float, float, TreeNode]] = []
-    for node, path_attrs, node_id in reversed(list(walk(tree.root))):
+    for node, path_attrs in reversed(walked):
         count = int(node.histogram.sum())
         per_row = total_test_cost(tc, path_attrs)
         if node.is_leaf:
@@ -98,7 +107,7 @@ def post_prune(
         )
         entries.append(
             PruneTraceEntry(
-                node_id=node_id,
+                node_id=node_ids.pop(),
                 attribute=node.attribute,
                 cost_keep=keep,
                 cost_prune=prune,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import TestCostVector, _is_int, _is_number
-from .data import InstanceSubset
+from .data import Dataset
 
 __all__ = [
     "TreeNode",
@@ -72,8 +72,8 @@ def _entropy_rows(count_rows: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return np.log2(totals) - _xlog2x(count_rows).sum(axis=1) / totals
 
 
-def _ratio_scans(dataset, rows: np.ndarray, hist, min_leaf_size: int):
-    """Every admissible (attribute, threshold) pair of the dataset's
+def _ratio_scans(data: Dataset, rows: np.ndarray, hist, min_leaf_size: int):
+    """Every admissible (attribute, threshold) pair of ``data``'s
     ``rows``, found in one pass over all attributes at once.
 
     Each column is sorted stably; a boundary lies between distinct
@@ -84,7 +84,7 @@ def _ratio_scans(dataset, rows: np.ndarray, hist, min_leaf_size: int):
     thresholds ascending within an attribute.
     """
     n = len(rows)
-    columns = dataset.features[rows].T
+    columns = data.features[rows].T
     order = np.argsort(columns, axis=1, kind="stable")
     ordered = np.take_along_axis(columns, order, axis=1)
     attributes, position = np.nonzero(ordered[:, :-1] < ordered[:, 1:])
@@ -92,9 +92,9 @@ def _ratio_scans(dataset, rows: np.ndarray, hist, min_leaf_size: int):
     attributes, position = attributes[keep], position[keep]
     # class counts left of every boundary; a count is at most n, so int32
     # holds it and keeps the (m, n, k) block small
-    ordered_labels = dataset.labels[rows][order]
+    ordered_labels = data.labels[rows][order]
     below = np.cumsum(
-        ordered_labels[:, :, None] == np.arange(dataset.num_classes),
+        ordered_labels[:, :, None] == np.arange(data.num_classes),
         axis=1,
         dtype=np.int32,
     )
@@ -113,7 +113,7 @@ def _ratio_scans(dataset, rows: np.ndarray, hist, min_leaf_size: int):
     return attributes, thresholds, ratios
 
 
-def _checked_exponents(lams, subset: InstanceSubset, tc: TestCostVector, min_leaf_size: int):
+def _checked_exponents(lams, data: Dataset, tc: TestCostVector, min_leaf_size: int):
     """The exponents as floats, after the checks best_split and build_trees share."""
     lams = [float(lam) for lam in lams]
     for lam in lams:
@@ -121,7 +121,7 @@ def _checked_exponents(lams, subset: InstanceSubset, tc: TestCostVector, min_lea
             raise ValueError(f"the cost exponent must be finite and zero or negative, got {lam!r}")
     if min_leaf_size < 1:
         raise ValueError("min_leaf_size must be at least 1")
-    if len(tc) != subset.dataset.num_attributes:
+    if len(tc) != data.num_attributes:
         raise ValueError("one test cost per attribute is required")
     return lams
 
@@ -152,8 +152,8 @@ def _first_maxima(ratios: np.ndarray, attributes: np.ndarray, weights: np.ndarra
     return picks, scores[np.arange(len(picks)), picks]
 
 
-def _splits(dataset, rows, hist, tc, lams, weights, tested_on_path, min_leaf_size):
-    """Each exponent's best split of the dataset's ``rows``, in the order of ``lams``
+def _splits(data, rows, hist, tc, lams, weights, tested_on_path, min_leaf_size):
+    """Each exponent's best split of ``data``'s ``rows``, in the order of ``lams``
     (``weights`` holds their rows of _weights), or None when the row set
     has no admissible pair.
 
@@ -163,7 +163,7 @@ def _splits(dataset, rows, hist, tc, lams, weights, tested_on_path, min_leaf_siz
     """
     if len(rows) < 2 * min_leaf_size or int((hist > 0).sum()) <= 1:
         return None
-    attributes, thresholds, ratios = _ratio_scans(dataset, rows, hist, min_leaf_size)
+    attributes, thresholds, ratios = _ratio_scans(data, rows, hist, min_leaf_size)
     if not len(ratios):
         return None
     weights = weights.copy()
@@ -184,7 +184,7 @@ def _splits(dataset, rows, hist, tc, lams, weights, tested_on_path, min_leaf_siz
 
 
 def best_split(
-    subset: InstanceSubset,
+    data: Dataset,
     tc: TestCostVector,
     lam: float,
     tested_on_path: frozenset[int] = frozenset(),
@@ -196,10 +196,10 @@ def best_split(
     and both children at least min_leaf_size. Ties break toward the lowest
     attribute index, then the lowest threshold.
     """
-    lams = _checked_exponents([lam], subset, tc, min_leaf_size)
-    hist = subset.class_histogram()
+    lams = _checked_exponents([lam], data, tc, min_leaf_size)
+    hist = np.bincount(data.labels, minlength=data.num_classes)
     splits = _splits(
-        subset.dataset, subset.indices, hist, tc, lams, _weights(tc, lams), tested_on_path,
+        data, np.arange(len(data)), hist, tc, lams, _weights(tc, lams), tested_on_path,
         min_leaf_size,
     )
     return None if splits is None else splits[0]
@@ -226,22 +226,22 @@ class TreeNode:
 
 
 def walk(root: TreeNode):
-    """Every node under ``root`` as (node, attributes tested above it, id
-    such as "root.left.right"), on an explicit stack so that any depth
-    works. Parents come first and right subtrees before left, so
-    ``reversed`` of the walk is children first, left before right.
+    """Every node under ``root`` as (node, attributes tested above it), on
+    an explicit stack so that any depth works. Parents come first and right
+    subtrees before left, so ``reversed`` of the walk is children first,
+    left before right.
 
     A node's children are read, and pushed left then right, only when the
     walk resumes after it. So a caller that pushes one item per child, left
     then right, onto a stack of its own pops each item with its node."""
-    stack = [(root, frozenset(), "root")]
+    stack = [(root, frozenset())]
     while stack:
-        node, path, node_id = stack.pop()
-        yield node, path, node_id
+        node, path = stack.pop()
+        yield node, path
         if not node.is_leaf:
             deeper = path | {node.attribute}
-            stack.append((node.left, deeper, node_id + ".left"))
-            stack.append((node.right, deeper, node_id + ".right"))
+            stack.append((node.left, deeper))
+            stack.append((node.right, deeper))
 
 
 @dataclass(eq=False)
@@ -256,11 +256,11 @@ class DecisionTree:
         return sum(1 for _ in walk(self.root))
 
     def leaf_count(self) -> int:
-        return sum(node.is_leaf for node, _, _ in walk(self.root))
+        return sum(node.is_leaf for node, _ in walk(self.root))
 
 
 def build_trees(
-    train: InstanceSubset,
+    train: Dataset,
     tc: TestCostVector,
     lams,
     min_leaf_size: int = DEFAULT_MIN_LEAF,
@@ -276,20 +276,18 @@ def build_trees(
     tree is the one that exponent grows alone. Exponents that pick the
     same split grow together, depth first, left before right.
     """
-    if len(train) == 0:
-        raise ValueError("cannot grow a tree from an empty training set")
     lams = _checked_exponents(lams, train, tc, min_leaf_size)
-    dataset, exponents, weights = train.dataset, np.array(lams), _weights(tc, lams)
+    exponents, weights = np.array(lams), _weights(tc, lams)
     # each exponent's root hangs as the left child of a placeholder
     tops = [TreeNode(histogram=None) for _ in lams]
     # (rows, the exponents whose trees reach them, attributes tested above,
     # those exponents' parent nodes, the side the new nodes hang on)
-    stack = [(train.indices, np.arange(len(lams)), frozenset(), tops, "left")]
+    stack = [(np.arange(len(train)), np.arange(len(lams)), frozenset(), tops, "left")]
     while stack:
         rows, group, path, parents, side = stack.pop()
-        hist = np.bincount(dataset.labels[rows], minlength=dataset.num_classes)
+        hist = np.bincount(train.labels[rows], minlength=train.num_classes)
         lams_here, weights_here = exponents[group], weights[group]
-        splits = _splits(dataset, rows, hist, tc, lams_here, weights_here, path, min_leaf_size)
+        splits = _splits(train, rows, hist, tc, lams_here, weights_here, path, min_leaf_size)
         if splits is None:
             nodes = [TreeNode(histogram=hist, predicted_class=int(np.argmax(hist)))] * len(group)
         else:
@@ -298,7 +296,7 @@ def build_trees(
             # pushed last to first, so each pick's left subtree grows first
             for attribute, threshold in reversed(dict.fromkeys(picks)):
                 members = [i for i, pick in enumerate(picks) if pick == (attribute, threshold)]
-                goes_left = dataset.features[rows, attribute] <= threshold
+                goes_left = train.features[rows, attribute] <= threshold
                 above, deeper = [nodes[i] for i in members], path | {attribute}
                 stack.append((rows[~goes_left], group[members], deeper, above, "right"))
                 stack.append((rows[goes_left], group[members], deeper, above, "left"))
@@ -308,7 +306,7 @@ def build_trees(
 
 
 def build_tree(
-    train: InstanceSubset,
+    train: Dataset,
     tc: TestCostVector,
     lam: float,
     min_leaf_size: int = DEFAULT_MIN_LEAF,
@@ -330,13 +328,13 @@ def classify(tree: DecisionTree, instance) -> tuple[int, frozenset[int]]:
     return int(node.predicted_class), frozenset(tested)
 
 
-def route(tree: DecisionTree, data: InstanceSubset):
+def route(tree: DecisionTree, data: Dataset):
     """Each leaf in walk order as (leaf, attributes on its path, positions
     in ``data`` of the rows that reach it). Rows go down as whole arrays,
     one mask per internal node; classify is the same walk for one row."""
-    columns = data.dataset.features[data.indices].T
+    columns = data.features.T
     reaching = [np.arange(len(data))]  # in step with the walk's own stack
-    for node, path, _ in walk(tree.root):
+    for node, path in walk(tree.root):
         rows = reaching.pop()
         if node.is_leaf:
             yield node, path, rows
@@ -348,7 +346,7 @@ def route(tree: DecisionTree, data: InstanceSubset):
 def structural_equal(a: DecisionTree, b: DecisionTree) -> bool:
     """Same shape, tests, thresholds, predictions, and histograms."""
     # the walks stay in step for as long as the nodes they meet agree
-    for (x, _, _), (y, _, _) in zip(walk(a.root), walk(b.root)):
+    for (x, _), (y, _) in zip(walk(a.root), walk(b.root)):
         if x.is_leaf != y.is_leaf or list(x.histogram) != list(y.histogram):
             return False
         if x.is_leaf:
@@ -366,7 +364,7 @@ def serialize(tree: DecisionTree) -> str:
     back either."""
     # children first, left before right: a node's children are the last two built
     built: list[dict] = []
-    for node, _, _ in reversed(list(walk(tree.root))):
+    for node, _ in reversed(list(walk(tree.root))):
         if node.is_leaf:
             built.append(
                 {"leaf": int(node.predicted_class), "histogram": [int(c) for c in node.histogram]}
@@ -399,7 +397,7 @@ def _tree_from_json(top, num_attributes: int) -> TreeNode:
     nodes: list[TreeNode] = []
     width = None
     # the walk reads a node's children only after this loop has hung them
-    for node, _, _ in walk(root):
+    for node, _ in walk(root):
         obj = pending.pop()
         if not isinstance(obj, dict):
             raise ValueError("tree nodes must be JSON objects")
@@ -472,21 +470,19 @@ def deserialize(text: str) -> DecisionTree:
     return DecisionTree(root=root, lambda_used=float(lam), tc_used=tc)
 
 
-def check_training_rows(tree: DecisionTree, data: InstanceSubset) -> None:
+def check_training_rows(tree: DecisionTree, data: Dataset) -> None:
     """Raise ValueError unless ``data`` can be the tree's training rows.
 
     The rows are routed through the tree's tests and must reproduce every
     stored leaf histogram exactly.
     """
-    if data.dataset.num_classes != len(tree.root.histogram):
+    if data.num_classes != len(tree.root.histogram):
         raise ValueError(
-            f"tree counts {len(tree.root.histogram)} classes, data has "
-            f"{data.dataset.num_classes}"
+            f"tree counts {len(tree.root.histogram)} classes, data has {data.num_classes}"
         )
-    if data.dataset.num_attributes != len(tree.tc_used):
+    if data.num_attributes != len(tree.tc_used):
         raise ValueError("data and tree disagree on the number of attributes")
-    labels = data.labels
     for leaf, _, rows in route(tree, data):
-        counts = np.bincount(labels[rows], minlength=data.dataset.num_classes)
+        counts = np.bincount(data.labels[rows], minlength=data.num_classes)
         if list(counts) != list(leaf.histogram):
             raise ValueError("routed rows do not reproduce the stored leaf histograms")

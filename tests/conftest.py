@@ -51,5 +51,5 @@ def bound_fixture(fixture_tree_path, sample):
     from cstree.tree import check_training_rows, deserialize
 
     tree = deserialize(fixture_tree_path.read_text(encoding="utf-8"))
-    check_training_rows(tree, sample.all_instances())
+    check_training_rows(tree, sample)
     return tree

@@ -26,6 +26,18 @@ def random_dataset(rng: np.random.Generator, max_rows=60, max_attrs=5, max_class
     return Dataset.from_arrays(features, labels, class_names=names)
 
 
+def partition(data: Dataset, attribute: int, threshold: float) -> tuple[Dataset, Dataset]:
+    """The rows of ``data`` whose ``attribute`` is <= threshold, and the
+    rest, each in row order."""
+    goes_left = data.features[:, attribute] <= threshold
+    return data.take(np.flatnonzero(goes_left)), data.take(np.flatnonzero(~goes_left))
+
+
+def histogram(data: Dataset) -> np.ndarray:
+    """Rows per class of ``data``."""
+    return np.bincount(data.labels, minlength=data.num_classes)
+
+
 def random_costs(rng: np.random.Generator, num_attributes: int) -> TestCostVector:
     return TestCostVector(tuple(float(v) for v in rng.integers(1, 11, size=num_attributes)))
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
+import support
 from cstree.cli import main as cli_main
 from cstree.competition import LambdaGrid, run_competition
 from cstree.costs import MisclassificationMatrix, TestCostVector
@@ -115,7 +116,7 @@ class TestWalkthrough:
             "18.75 root replacement"
         ):
             initial = average_cost(
-                bound_fixture, sample.all_instances(), table_costs, example_mc
+                bound_fixture, sample, table_costs, example_mc
             )
             assert abs(initial.average - 8.375) <= 1e-9 * 8.375
 
@@ -126,7 +127,7 @@ class TestWalkthrough:
 
             # the pruned tree realizes that figure on the replaced rows
             root = bound_fixture.root
-            fifteen, _ = sample.all_instances().partition(root.attribute, root.threshold)
+            fifteen, _ = support.partition(sample, root.attribute, root.threshold)
             assert len(fifteen) == 15
             realized = average_cost(pruned, fifteen, table_costs, example_mc)
             assert realized.average == pytest.approx(7.667, abs=0.005)
@@ -143,7 +144,7 @@ class TestWalkthrough:
         with verdict(
             "growing at exponent -2 on the sample roots the tree at attribute a2"
         ):
-            tree = build_tree(sample.all_instances(), table_costs, -2.0)
+            tree = build_tree(sample, table_costs, -2.0)
             assert tree.root.attribute == 1
             assert sample.attribute_names[tree.root.attribute] == "a2"
 
@@ -159,12 +160,11 @@ class TestProperties:
             for _ in range(PRUNE_CASES):
                 ds, tc, mc = random_case(rng, max_rows=200)
                 lam = float(rng.choice([-4.0, -2.0, -1.0, -0.5, 0.0]))
-                tree = build_tree(ds.all_instances(), tc, lam)
+                tree = build_tree(ds, tc, lam)
                 pruned, _ = post_prune(tree, tc, mc)
 
-                rows = ds.all_instances()
-                before = average_cost(tree, rows, tc, mc)
-                after = average_cost(pruned, rows, tc, mc)
+                before = average_cost(tree, ds, tc, mc)
+                after = average_cost(pruned, ds, tc, mc)
                 assert after.average <= before.average + 1e-9 * max(1.0, before.average)
 
                 again, second = post_prune(pruned, tc, mc)
@@ -237,9 +237,9 @@ class TestProperties:
     @staticmethod
     def _check_cost_blind_split(train, tc):
         chosen = best_split(train, tc, 0.0)
-        rows = [train.dataset.features[i].tolist() for i in train.indices]
-        labels = [int(train.dataset.labels[i]) for i in train.indices]
-        k = train.dataset.num_classes
+        rows = train.features.tolist()
+        labels = train.labels.tolist()
+        k = train.num_classes
         expected = oracles.best_gain_ratio_split(rows, labels, k)
         if expected is None:
             assert chosen is None
@@ -282,8 +282,8 @@ class TestProperties:
             for _ in range(WALKER_CASES):
                 ds, tc, mc = random_case(rng, max_rows=80)
                 lam = float(rng.choice([-3.0, -1.0, 0.0]))
-                tree = build_tree(ds.all_instances(), tc, lam)
-                got = average_cost(tree, ds.all_instances(), tc, mc)
+                tree = build_tree(ds, tc, lam)
+                got = average_cost(tree, ds, tc, mc)
 
                 penalties = [
                     [mc.cost(i, j) for j in range(ds.num_classes)]

@@ -464,6 +464,31 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:") and message in err and str(costs) in err
 
+    @pytest.mark.parametrize("flag", ["--cost-file", "--mc-file"])
+    def test_cost_file_nested_too_deeply(self, capsys, sample_path, tmp_path, flag):
+        costs = tmp_path / "costs.json"
+        costs.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code, _, err = run(capsys, "train", "--data", str(sample_path), flag, str(costs))
+        assert code == 1
+        assert err.startswith("error:") and "nested too deeply" in err and str(costs) in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a cell longer than the csv module's field limit, bare and quoted
+            ("a,y\n" + "1" * 200_000 + ",x\n2,z\n", "row 1: field larger than field limit"),
+            ('a,y\n1,x\n"' + "2" * 200_000 + '",z\n', "row 2: field larger than field limit"),
+            ("a,y\n1,x\n2,z\n3,\n", "row 3: blank label cell"),
+            ("a,y\n1,x\n2\n", "row 2 has 1 cells"),
+        ],
+    )
+    def test_malformed_csv(self, capsys, tmp_path, text, message):
+        data = tmp_path / "rows.csv"
+        data.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, "train", "--data", str(data))
+        assert code == 1
+        assert err.startswith("error:") and message in err and str(data) in err
+
     @pytest.mark.parametrize("argv", [["train", "--lambda", "-4"], ["sweep"]])
     def test_overflowing_test_cost_weight(self, capsys, sample_path, tmp_path, argv):
         # 1e-100 ** -4 overflows a float

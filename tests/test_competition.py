@@ -52,7 +52,7 @@ class TestRunCompetition:
             ds = support.random_dataset(rng, max_rows=40)
             tc = support.random_costs(rng, ds.num_attributes)
             mc = support.random_matrix(rng, ds.num_classes)
-            result = run_competition(ds.all_instances(), tc, mc)
+            result = run_competition(ds, tc, mc)
             averages = [r.train_cost.average for r in result.records]
             winner = result.record_for(result.winner_lambda)
             assert winner.train_cost.average == min(averages)
@@ -61,7 +61,7 @@ class TestRunCompetition:
         # unit costs make every exponent grow the same tree, so the
         # training averages all tie and zero must win
         ones = TestCostVector((1.0,) * 8)
-        result = run_competition(sample.all_instances(), ones, example_mc)
+        result = run_competition(sample, ones, example_mc)
         assert result.winner_lambda == 0.0
         baseline = result.records[0]
         for record in result.records:
@@ -70,7 +70,7 @@ class TestRunCompetition:
 
     def test_respects_single_point_grid(self, sample, table_costs, example_mc):
         result = run_competition(
-            sample.all_instances(), table_costs, example_mc, LambdaGrid(-2.0, -2.0, 1.0)
+            sample, table_costs, example_mc, LambdaGrid(-2.0, -2.0, 1.0)
         )
         assert [r.lam for r in result.records] == [-2.0]
         assert result.winner_lambda == -2.0
@@ -82,15 +82,15 @@ class TestRunCompetition:
             tc = support.random_costs(rng, ds.num_attributes)
             mc = support.random_matrix(rng, ds.num_classes)
             grid = LambdaGrid(-3.0, 0.0, 1.0)
-            raw = run_competition(ds.all_instances(), tc, mc, grid, prune=False)
-            cut = run_competition(ds.all_instances(), tc, mc, grid, prune=True)
+            raw = run_competition(ds, tc, mc, grid, prune=False)
+            cut = run_competition(ds, tc, mc, grid, prune=True)
             for a, b in zip(raw.records, cut.records):
                 assert a.lam == b.lam
                 assert b.train_cost.average <= a.train_cost.average + 1e-9
 
     def test_deterministic(self, sample, table_costs, example_mc):
-        first = run_competition(sample.all_instances(), table_costs, example_mc)
-        second = run_competition(sample.all_instances(), table_costs, example_mc)
+        first = run_competition(sample, table_costs, example_mc)
+        second = run_competition(sample, table_costs, example_mc)
         assert first.winner_lambda == second.winner_lambda
         assert serialize(first.winner_tree) == serialize(second.winner_tree)
         for a, b in zip(first.records, second.records):
@@ -98,13 +98,13 @@ class TestRunCompetition:
 
     def test_records_follow_grid_order(self, sample, table_costs, example_mc):
         result = run_competition(
-            sample.all_instances(), table_costs, example_mc, LambdaGrid(-1.0, 0.0, 0.5)
+            sample, table_costs, example_mc, LambdaGrid(-1.0, 0.0, 0.5)
         )
         assert [r.lam for r in result.records] == [-1.0, -0.5, 0.0]
 
     def test_record_for_unknown_exponent(self, sample, table_costs, example_mc):
         result = run_competition(
-            sample.all_instances(), table_costs, example_mc, LambdaGrid(-1.0, 0.0, 0.5)
+            sample, table_costs, example_mc, LambdaGrid(-1.0, 0.0, 0.5)
         )
         with pytest.raises(ValueError, match="no record"):
             result.record_for(-0.25)
@@ -112,8 +112,7 @@ class TestRunCompetition:
 
 class TestWithTestCosts:
     def test_fills_every_record(self, sample, table_costs, example_mc):
-        rows = sample.all_instances()
-        train, test = rows.partition(1, 125.5)
+        train, test = support.partition(sample, 1, 125.5)
         sweeps = run_competitions(
             train, table_costs, example_mc, LambdaGrid(-1.0, 0.0, 0.5), (False, True)
         )

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstree.data import Dataset, InstanceSubset, load_csv, split_train_test
+import support
+from cstree.data import Dataset, load_csv, split_train_test
 
 
 def write(tmp_path, text):
@@ -22,7 +23,7 @@ class TestLoadCsv:
         assert sample.attribute_names == tuple(f"a{i}" for i in range(1, 9))
 
     def test_sample_class_histogram(self, sample):
-        assert sample.all_instances().class_histogram().tolist() == [15, 9]
+        assert support.histogram(sample).tolist() == [15, 9]
 
     def test_first_appearance_class_order(self, sample):
         assert sample.class_names == ("0", "1")
@@ -125,34 +126,73 @@ class TestDatasetValidation:
 
 
 class TestInstanceSubset:
+    """A subset of a dataset's instances is a Dataset made by take."""
+
     def test_partition_is_le_left(self, sample):
-        left, right = sample.all_instances().partition(1, 125.5)
+        left, right = support.partition(sample, 1, 125.5)
         assert len(left) == 15 and len(right) == 9
-        assert (left.values(1) <= 125.5).all()
-        assert (right.values(1) > 125.5).all()
+        assert (left.features[:, 1] <= 125.5).all()
+        assert (right.features[:, 1] > 125.5).all()
+        # each side keeps the rows in their order in the sample
+        goes_left = sample.features[:, 1] <= 125.5
+        assert left.features.tolist() == sample.features[goes_left].tolist()
+        assert right.labels.tolist() == sample.labels[~goes_left].tolist()
 
     def test_partition_histograms(self, sample):
-        left, right = sample.all_instances().partition(1, 125.5)
-        assert left.class_histogram().tolist() == [13, 2]
-        assert right.class_histogram().tolist() == [2, 7]
+        left, right = support.partition(sample, 1, 125.5)
+        assert support.histogram(left).tolist() == [13, 2]
+        assert support.histogram(right).tolist() == [2, 7]
+        goes_left = sample.features[:, 1] <= 125.5
+        assert left.labels.tolist() == sample.labels[goes_left].tolist()
 
     def test_nested_partition_is_one_class(self, sample):
-        left, _ = sample.all_instances().partition(1, 125.5)
-        inner, _ = left.partition(4, 56.0)
-        assert inner.class_histogram().tolist() == [9, 0]
+        left, _ = support.partition(sample, 1, 125.5)
+        inner, _ = support.partition(left, 4, 56.0)
+        assert support.histogram(inner).tolist() == [9, 0]
+        # the absent class keeps its name and its index
+        assert inner.class_names == ("0", "1")
+        assert inner.attribute_names == sample.attribute_names
 
     def test_values_follow_subset_order(self, sample):
-        subset = InstanceSubset(sample, np.array([5, 2, 9]))
-        assert subset.values(1).tolist() == sample.features[[5, 2, 9], 1].tolist()
+        subset = sample.take(np.array([5, 2, 9]))
+        assert subset.features.tolist() == sample.features[[5, 2, 9]].tolist()
         assert subset.labels.tolist() == sample.labels[[5, 2, 9]].tolist()
 
-    def test_duplicate_indices_rejected(self, sample):
-        with pytest.raises(ValueError, match="distinct"):
-            InstanceSubset(sample, np.array([0, 0]))
+    def test_duplicate_indices_repeat_rows(self, sample):
+        twice = sample.take([7, 0, 7])
+        assert twice.features.tolist() == sample.features[[7, 0, 7]].tolist()
+        assert twice.labels.tolist() == sample.labels[[7, 0, 7]].tolist()
 
     def test_out_of_range_indices_rejected(self, sample):
-        with pytest.raises(ValueError, match="address rows"):
-            InstanceSubset(sample, np.array([24]))
+        # numpy would raise IndexError for these, and for positions that
+        # are not integers at all
+        for rows in ([24], [0, 24], [10**12], [1.0], np.ones(24, dtype=bool), [[0, 1]]):
+            with pytest.raises(ValueError, match=r"integers in \[0, 23\]"):
+                sample.take(rows)
+
+    def test_negative_indices_rejected(self, sample):
+        # numpy would read -1 as the last row
+        for rows in ([-1], [3, -24], np.array([-1], dtype=np.int8)):
+            with pytest.raises(ValueError, match=r"integers in \[0, 23\]"):
+                sample.take(rows)
+
+    def test_empty_selection_rejected(self, sample):
+        for rows in ([], np.array([], dtype=np.int64)):
+            with pytest.raises(ValueError, match="at least one instance"):
+                sample.take(rows)
+
+
+def numbered(dataset: Dataset) -> Dataset:
+    """``dataset`` with the row number as a new first column."""
+    n = len(dataset)
+    return Dataset.from_arrays(
+        np.column_stack([np.arange(n), dataset.features]), dataset.labels,
+        class_names=dataset.class_names,
+    )
+
+
+def row_numbers(subset: Dataset) -> list[int]:
+    return subset.features[:, 0].astype(int).tolist()
 
 
 class TestSplitTrainTest:
@@ -167,31 +207,35 @@ class TestSplitTrainTest:
         assert len(train) == 13 and len(test) == 12
 
     def test_disjoint_and_exhaustive(self, sample):
-        train, test = split_train_test(sample, 0.6, np.random.default_rng(3))
-        combined = set(train.indices.tolist()) | set(test.indices.tolist())
+        train, test = split_train_test(numbered(sample), 0.6, np.random.default_rng(3))
+        combined = set(row_numbers(train)) | set(row_numbers(test))
         assert combined == set(range(24))
-        assert not set(train.indices.tolist()) & set(test.indices.tolist())
+        assert not set(row_numbers(train)) & set(row_numbers(test))
+        # each side keeps the rows in their original order
+        assert row_numbers(train) == sorted(row_numbers(train))
+        assert row_numbers(test) == sorted(row_numbers(test))
 
     def test_same_seed_reproduces(self, sample):
-        a = split_train_test(sample, 0.6, np.random.default_rng(42))
-        b = split_train_test(sample, 0.6, np.random.default_rng(42))
-        assert np.array_equal(a[0].indices, b[0].indices)
-        assert np.array_equal(a[1].indices, b[1].indices)
+        a = split_train_test(numbered(sample), 0.6, np.random.default_rng(42))
+        b = split_train_test(numbered(sample), 0.6, np.random.default_rng(42))
+        assert row_numbers(a[0]) == row_numbers(b[0])
+        assert row_numbers(a[1]) == row_numbers(b[1])
 
     def test_different_seeds_differ(self, sample):
         draws = {
-            tuple(split_train_test(sample, 0.6, np.random.default_rng(s))[0].indices.tolist())
+            tuple(row_numbers(split_train_test(numbered(sample), 0.6, np.random.default_rng(s))[0]))
             for s in range(8)
         }
         assert len(draws) > 1
         assert all(len(d) == 14 for d in draws)
 
     def test_values_survive_split_bit_exactly(self, sample):
-        train, test = split_train_test(sample, 0.6, np.random.default_rng(9))
+        train, test = split_train_test(numbered(sample), 0.6, np.random.default_rng(9))
         for subset in (train, test):
-            for attribute in range(sample.num_attributes):
-                expected = sample.features[subset.indices, attribute]
-                assert np.array_equal(subset.values(attribute), expected)
+            rows = row_numbers(subset)
+            assert np.array_equal(subset.features[:, 1:], sample.features[rows])
+            assert np.array_equal(subset.labels, sample.labels[rows])
+            assert subset.class_names == sample.class_names
 
     @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2, 1.4])
     def test_fraction_bounds(self, sample, fraction):
@@ -214,5 +258,5 @@ class TestSplitTrainTest:
         train, test = split_train_test(ds, fraction, np.random.default_rng(seed))
         assert len(train) + len(test) == n
         assert len(train) == int(np.floor(fraction * n + 0.5))
-        merged = np.sort(np.concatenate([train.indices, test.indices]))
+        merged = np.sort(row_numbers(train) + row_numbers(test))
         assert np.array_equal(merged, np.arange(n))

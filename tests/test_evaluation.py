@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 import support
 from cstree.costs import MisclassificationMatrix, TestCostVector, two_class_matrix
-from cstree.data import Dataset, InstanceSubset
+from cstree.data import Dataset
 from cstree.evaluation import (
     CostBreakdown,
     average_cost,
@@ -45,7 +45,7 @@ class TestAverageCost:
     def test_fixture_tree_on_its_own_sample(
         self, bound_fixture, sample, table_costs, example_mc
     ):
-        b = average_cost(bound_fixture, sample.all_instances(), table_costs, example_mc)
+        b = average_cost(bound_fixture, sample, table_costs, example_mc)
         assert b.test_cost_total == 201.0
         assert b.misclassification_total == 0.0
         assert b.average == 201.0 / 24
@@ -54,10 +54,10 @@ class TestAverageCost:
     def test_single_leaf_majority_vote(self, sample, table_costs, example_mc):
         # a stump never pays for tests; it misclassifies the 9 minority rows
         stump = build_tree(
-            sample.all_instances(), table_costs, 0.0, min_leaf_size=100
+            sample, table_costs, 0.0, min_leaf_size=100
         )
         assert stump.root.is_leaf
-        b = average_cost(stump, sample.all_instances(), table_costs, example_mc)
+        b = average_cost(stump, sample, table_costs, example_mc)
         assert b.test_cost_total == 0.0
         assert b.misclassification_total == 9 * 50.0
         assert b.average == 450.0 / 24
@@ -65,23 +65,24 @@ class TestAverageCost:
     def test_distinct_attributes_charged_once(self, bound_fixture, sample, example_mc):
         # rows through the left arm test attribute 1 twice but pay once
         ones = TestCostVector((1.0,) * 8)
-        b = average_cost(bound_fixture, sample.all_instances(), ones, example_mc)
+        b = average_cost(bound_fixture, sample, ones, example_mc)
         # every row tests exactly two distinct attributes
         assert b.test_cost_total == 2.0 * 24
 
     def test_asymmetric_penalties(self, sample, table_costs):
-        stump = build_tree(sample.all_instances(), table_costs, 0.0, min_leaf_size=100)
+        stump = build_tree(sample, table_costs, 0.0, min_leaf_size=100)
         lopsided = two_class_matrix(500.0, 50.0)
         flipped = two_class_matrix(50.0, 500.0)
-        cheap = average_cost(stump, sample.all_instances(), table_costs, lopsided)
-        dear = average_cost(stump, sample.all_instances(), table_costs, flipped)
+        cheap = average_cost(stump, sample, table_costs, lopsided)
+        dear = average_cost(stump, sample, table_costs, flipped)
         assert cheap.misclassification_total == 9 * 50.0
         assert dear.misclassification_total == 9 * 500.0
 
-    def test_empty_subset_rejected(self, bound_fixture, sample, table_costs, example_mc):
-        empty = InstanceSubset(sample, np.array([], dtype=np.int64))
-        with pytest.raises(ValueError, match="empty"):
-            average_cost(bound_fixture, empty, table_costs, example_mc)
+    def test_empty_subset_rejected(self, sample):
+        # a row subset is a Dataset, which has at least one row, so there is
+        # never an empty set of rows to average over
+        with pytest.raises(ValueError, match="at least one instance"):
+            sample.take([])
 
     def test_class_count_mismatch_rejected(self, bound_fixture, table_costs):
         three = Dataset.from_arrays(
@@ -89,20 +90,20 @@ class TestAverageCost:
         )
         wide = MisclassificationMatrix(((0, 1, 1), (1, 0, 1), (1, 1, 0)))
         with pytest.raises(ValueError, match="differ"):
-            average_cost(bound_fixture, three.all_instances(), table_costs, wide)
+            average_cost(bound_fixture, three, table_costs, wide)
 
     def test_subset_scoped_not_whole_dataset(
         self, bound_fixture, sample, table_costs, example_mc
     ):
-        half = InstanceSubset(sample, np.arange(12))
+        half = sample.take(np.arange(12))
         b = average_cost(bound_fixture, half, table_costs, example_mc)
         assert b.count == 12
         whole = average_cost(
-            bound_fixture, sample.all_instances(), table_costs, example_mc
+            bound_fixture, sample, table_costs, example_mc
         )
         rest = average_cost(
             bound_fixture,
-            InstanceSubset(sample, np.arange(12, 24)),
+            sample.take(np.arange(12, 24)),
             table_costs,
             example_mc,
         )
@@ -114,8 +115,8 @@ class TestAverageCost:
             ds = support.random_dataset(rng, max_classes=2)
             tc = support.random_costs(rng, ds.num_attributes)
             mc = support.random_matrix(rng, ds.num_classes)
-            tree = build_tree(ds.all_instances(), tc, -1.0)
-            got = average_cost(tree, ds.all_instances(), tc, mc)
+            tree = build_tree(ds, tc, -1.0)
+            got = average_cost(tree, ds, tc, mc)
             from cstree.tree import classify
 
             expect_tests = 0.0
@@ -149,12 +150,11 @@ class TestAverageCostOracle:
 
     @staticmethod
     def assert_matches(tree, rows, tc, mc):
-        ds = rows.dataset
         got = average_cost(tree, rows, tc, mc)
         tests, penalties, mean = oracles.average_cost_json(
             serialize(tree),
-            ds.features[rows.indices].tolist(),
-            ds.labels[rows.indices].tolist(),
+            rows.features.tolist(),
+            rows.labels.tolist(),
             list(tc.costs),
             [list(row) for row in mc.rows],
         )
@@ -166,13 +166,13 @@ class TestAverageCostOracle:
     def test_grown_and_deserialized_trees(self, seed, k):
         rng, ds, tc, mc = self.case(seed, k)
         order = rng.permutation(len(ds))
-        train = InstanceSubset(ds, np.sort(order[:800]))
-        unsorted = InstanceSubset(ds, order[300:])
+        train = ds.take(np.sort(order[:800]))
+        unsorted = ds.take(order[300:])
         for lam in (-2.0, 0.0):
             tree = build_tree(train, tc, lam, min_leaf_size=1)
             assert tree.node_count() > 100
             for candidate in (tree, deserialize(serialize(tree))):
-                for rows in (train, unsorted, ds.all_instances()):
+                for rows in (train, unsorted, ds):
                     self.assert_matches(candidate, rows, tc, mc)
 
     def test_root_leaf_tree(self):
@@ -181,9 +181,9 @@ class TestAverageCostOracle:
         leaf = DecisionTree(
             TreeNode(histogram=hist, predicted_class=int(np.argmax(hist))), -1.0, tc
         )
-        got = average_cost(leaf, ds.all_instances(), tc, mc)
+        got = average_cost(leaf, ds, tc, mc)
         assert got.test_cost_total == 0.0
-        self.assert_matches(leaf, InstanceSubset(ds, rng.permutation(len(ds))), tc, mc)
+        self.assert_matches(leaf, ds.take(rng.permutation(len(ds))), tc, mc)
 
 
 class TestReductionRatio:

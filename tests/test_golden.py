@@ -147,7 +147,7 @@ def _grown_trees(name: str, together: bool) -> dict[str, bytes]:
     one build_tree call each or all in one build_trees call; file name ->
     bytes."""
     data_path, costs_path = TREE_INPUTS[name]
-    rows = load_csv(data_path).all_instances()
+    rows = load_csv(data_path)
     tc, _ = load_cost_file(costs_path)
     if together:
         trees = build_trees(rows, tc, TREE_LAMBDAS)

@@ -52,7 +52,7 @@ class TestSubtreeCost:
         self, bound_fixture, fixture_entries, sample, table_costs, example_mc
     ):
         via_node = fixture_entries["root"].cost_keep
-        via_rows = average_cost(bound_fixture, sample.all_instances(), table_costs, example_mc)
+        via_rows = average_cost(bound_fixture, sample, table_costs, example_mc)
         assert via_node == via_rows
         assert via_node.average == 8.375
 
@@ -134,8 +134,8 @@ class TestPostPrune:
 
     def test_pruned_average_drops(self, bound_fixture, sample, table_costs, example_mc):
         pruned, _ = post_prune(bound_fixture, table_costs, example_mc)
-        before = average_cost(bound_fixture, sample.all_instances(), table_costs, example_mc)
-        after = average_cost(pruned, sample.all_instances(), table_costs, example_mc)
+        before = average_cost(bound_fixture, sample, table_costs, example_mc)
+        after = average_cost(pruned, sample, table_costs, example_mc)
         assert before.average == 8.375
         assert after.average == pytest.approx(196 / 24, rel=1e-12)
         assert after.average < before.average
@@ -155,7 +155,7 @@ class TestPostPrune:
 
     def test_exact_tie_keeps_by_default(self):
         ds = Dataset.from_arrays([[1.0], [2.0]], [0, 1], class_names=("0", "1"))
-        tree = build_tree(ds.all_instances(), TestCostVector((3.0,)), 0.0, min_leaf_size=1)
+        tree = build_tree(ds, TestCostVector((3.0,)), 0.0, min_leaf_size=1)
         assert not tree.root.is_leaf
         mc = two_class_matrix(99.0, 6.0)
         kept, trace = post_prune(tree, tree.tc_used, mc)
@@ -165,7 +165,7 @@ class TestPostPrune:
 
     def test_exact_tie_prunes_when_asked(self):
         ds = Dataset.from_arrays([[1.0], [2.0]], [0, 1], class_names=("0", "1"))
-        tree = build_tree(ds.all_instances(), TestCostVector((3.0,)), 0.0, min_leaf_size=1)
+        tree = build_tree(ds, TestCostVector((3.0,)), 0.0, min_leaf_size=1)
         mc = two_class_matrix(99.0, 6.0)
         cut, trace = post_prune(tree, tree.tc_used, mc, prune_on_tie=True)
         assert trace[0].pruned
@@ -188,12 +188,11 @@ class TestPostPrune:
             tc = support.random_costs(rng, ds.num_attributes)
             mc = support.random_matrix(rng, ds.num_classes)
             lam = float(rng.choice([-4.0, -2.0, -0.5, 0.0]))
-            tree = build_tree(ds.all_instances(), tc, lam)
+            tree = build_tree(ds, tc, lam)
             pruned, trace = post_prune(tree, tc, mc)
 
-            rows = ds.all_instances()
-            before = average_cost(tree, rows, tc, mc)
-            after = average_cost(pruned, rows, tc, mc)
+            before = average_cost(tree, ds, tc, mc)
+            after = average_cost(pruned, ds, tc, mc)
             assert after.average <= before.average + 1e-9
 
             again, second_trace = post_prune(pruned, tc, mc)
@@ -211,7 +210,7 @@ class TestPostPrune:
             mc = support.random_matrix(rng, ds.num_classes)
             lam = float(rng.choice([-4.0, -2.0, -0.5, 0.0]))
             on_tie = bool(rng.integers(2))
-            grown = build_tree(ds.all_instances(), tc, lam, int(rng.integers(1, 4)))
+            grown = build_tree(ds, tc, lam, int(rng.integers(1, 4)))
             text = serialize(grown)
             _, trace = post_prune(deserialize(text), tc, mc, on_tie)
             assert trace == post_prune(grown, tc, mc, on_tie)[1]
@@ -240,7 +239,7 @@ class TestPostPrune:
             ds = support.random_dataset(rng)
             tc = support.random_costs(rng, ds.num_attributes)
             mc = support.random_matrix(rng, ds.num_classes)
-            tree = build_tree(ds.all_instances(), tc, -1.0)
+            tree = build_tree(ds, tc, -1.0)
             pruned, trace = post_prune(tree, tc, mc)
             assert pruned.node_count() <= tree.node_count()
             if any(e.pruned for e in trace):

@@ -12,7 +12,7 @@ import oracles
 import support
 from cstree.competition import LambdaGrid
 from cstree.costs import TestCostVector, two_class_matrix
-from cstree.data import Dataset, InstanceSubset
+from cstree.data import Dataset
 from cstree.evaluation import average_cost
 from cstree.pruning import post_prune
 from cstree.tree import (
@@ -76,7 +76,7 @@ class TestEntropy:
 
 def only_split(ds, cost=1.0, lam=0.0, tested=frozenset(), min_leaf_size=2):
     """best_split of every row of a one-attribute table."""
-    return best_split(ds.all_instances(), TestCostVector((cost,)), lam, tested, min_leaf_size)
+    return best_split(ds, TestCostVector((cost,)), lam, tested, min_leaf_size)
 
 
 def assert_matches_oracle(ds, chosen, min_leaf=2):
@@ -112,7 +112,7 @@ class TestSplitStatistics:
         gain = ENTROPY_15_9 - (15 / 24) * left_h - (9 / 24) * right_h
         assert chosen.gain_ratio == pytest.approx(gain / ENTROPY_15_9, abs=1e-12)
         # the sample's own root split is the oracle's best
-        root = best_split(sample.all_instances(), TestCostVector((1,) * 8), 0.0)
+        root = best_split(sample, TestCostVector((1,) * 8), 0.0)
         assert_matches_oracle(sample, root)
 
     def test_identical_child_distributions(self):
@@ -135,7 +135,7 @@ class TestSplitStatistics:
         ds = two_class([[1], [2]], [0, 1])
         chosen = only_split(ds, min_leaf_size=1)
         assert chosen.threshold == 1.5
-        left, right = ds.all_instances().partition(0, chosen.threshold)
+        left, right = support.partition(ds, 0, chosen.threshold)
         assert len(left) == len(right) == 1
         assert only_split(ds, min_leaf_size=2) is None
 
@@ -144,7 +144,7 @@ class TestSplitStatistics:
         for _ in range(50):
             ds = support.random_dataset(rng, max_rows=20, max_attrs=2)
             tc = TestCostVector((1.0,) * ds.num_attributes)
-            chosen = best_split(ds.all_instances(), tc, 0.0)
+            chosen = best_split(ds, tc, 0.0)
             assert chosen is None or chosen.gain_ratio > 0.0
             assert_matches_oracle(ds, chosen)
 
@@ -165,12 +165,10 @@ class TestCandidateThresholds:
         assert chosen.threshold == pytest.approx(0.159, abs=1e-12)
 
     def test_empty_subset_rejected(self, sample):
-        from cstree.data import InstanceSubset
-
-        empty = InstanceSubset(sample, np.array([], dtype=np.int64))
-        assert best_split(empty, TestCostVector((1,) * 8), 0.0, min_leaf_size=1) is None
-        with pytest.raises(ValueError, match="empty"):
-            build_tree(empty, TestCostVector((1,) * 8), 0.0)
+        # the smallest row subset is one row, which has no threshold
+        assert best_split(sample.take([3]), TestCostVector((1,) * 8), 0.0, min_leaf_size=1) is None
+        with pytest.raises(ValueError, match="at least one instance"):
+            sample.take([])
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(0, 30), min_size=2, max_size=15))
@@ -215,7 +213,7 @@ class TestSplitHeuristic:
 
 class TestBestSplit:
     def test_sample_root_choice(self, sample, table_costs):
-        candidate = best_split(sample.all_instances(), table_costs, -2.0)
+        candidate = best_split(sample, table_costs, -2.0)
         assert candidate.attribute == 1
         assert candidate.threshold == 116.5
         assert candidate.gain_ratio == pytest.approx(0.5487949406953986, abs=1e-12)
@@ -223,35 +221,35 @@ class TestBestSplit:
 
     def test_pure_subset_yields_none(self, table_costs):
         ds = two_class([[i] * 8 for i in range(6)], [0] * 5 + [1])
-        pure, _ = ds.all_instances().partition(0, 4.5)
+        pure, _ = support.partition(ds, 0, 4.5)
         assert best_split(pure, table_costs, -1.0) is None
 
     def test_constant_attributes_yield_none(self):
         ds = two_class([[3.0], [3.0], [3.0], [3.0]], [0, 1, 0, 1])
-        assert best_split(ds.all_instances(), TestCostVector((1,)), 0.0) is None
+        assert best_split(ds, TestCostVector((1,)), 0.0) is None
 
     def test_zero_gain_everywhere_yields_none(self):
         # the single admissible threshold leaves both halves half-and-half
         ds = two_class([[1], [1], [2], [2]], [0, 1, 0, 1])
-        assert best_split(ds.all_instances(), TestCostVector((1,)), 0.0, min_leaf_size=1) is None
+        assert best_split(ds, TestCostVector((1,)), 0.0, min_leaf_size=1) is None
 
     def test_tie_breaks_to_lowest_attribute(self):
         column = [[v, v] for v in (1.0, 2.0, 3.0, 4.0)]
         ds = two_class(column, [0, 0, 1, 1])
-        candidate = best_split(ds.all_instances(), TestCostVector((3, 3)), -1.0)
+        candidate = best_split(ds, TestCostVector((3, 3)), -1.0)
         assert candidate.attribute == 0
 
     def test_tie_breaks_to_lowest_threshold(self):
         ds = two_class([[1], [2], [3]], [0, 1, 0])
-        candidate = best_split(ds.all_instances(), TestCostVector((2,)), 0.0, min_leaf_size=1)
+        candidate = best_split(ds, TestCostVector((2,)), 0.0, min_leaf_size=1)
         assert candidate.threshold == 1.5
 
     def test_min_leaf_filters_candidates(self):
         # isolating the lone positive is the best cut but strands one row
         ds = two_class([[1], [2], [3], [4]], [1, 0, 0, 0])
-        strict = best_split(ds.all_instances(), TestCostVector((1,)), 0.0, min_leaf_size=2)
+        strict = best_split(ds, TestCostVector((1,)), 0.0, min_leaf_size=2)
         assert strict.threshold == 2.5
-        loose = best_split(ds.all_instances(), TestCostVector((1,)), 0.0, min_leaf_size=1)
+        loose = best_split(ds, TestCostVector((1,)), 0.0, min_leaf_size=1)
         assert loose.threshold == 1.5
         assert loose.gain_ratio > strict.gain_ratio
 
@@ -261,30 +259,30 @@ class TestBestSplit:
         features = [[0, 1], [0, 2], [1, 3], [0, 4], [1, 5], [1, 6]]
         ds = two_class(features, [0, 0, 0, 1, 1, 1])
         tc = TestCostVector((1.0, 10.0))
-        assert best_split(ds.all_instances(), tc, 0.0).attribute == 1
-        assert best_split(ds.all_instances(), tc, -2.0).attribute == 0
+        assert best_split(ds, tc, 0.0).attribute == 1
+        assert best_split(ds, tc, -2.0).attribute == 0
 
     def test_reuse_restores_expensive_attribute(self):
         features = [[0, 1], [0, 2], [1, 3], [0, 4], [1, 5], [1, 6]]
         ds = two_class(features, [0, 0, 0, 1, 1, 1])
         tc = TestCostVector((1.0, 10.0))
-        again = best_split(ds.all_instances(), tc, -2.0, tested_on_path=frozenset({1}))
+        again = best_split(ds, tc, -2.0, tested_on_path=frozenset({1}))
         assert again.attribute == 1
 
     def test_rejects_positive_exponent(self, sample, table_costs):
         with pytest.raises(ValueError):
-            best_split(sample.all_instances(), table_costs, 0.25)
+            best_split(sample, table_costs, 0.25)
 
     def test_rejects_wrong_cost_arity(self, sample):
         with pytest.raises(ValueError, match="one test cost per attribute"):
-            best_split(sample.all_instances(), TestCostVector((1, 2)), 0.0)
+            best_split(sample, TestCostVector((1, 2)), 0.0)
 
     def test_matches_plain_gain_ratio_oracle_at_zero(self):
         rng = np.random.default_rng(21)
         for _ in range(25):
             ds = support.random_dataset(rng, max_rows=30, max_attrs=4, max_classes=3)
             tc = support.random_costs(rng, ds.num_attributes)
-            assert_matches_oracle(ds, best_split(ds.all_instances(), tc, 0.0))
+            assert_matches_oracle(ds, best_split(ds, tc, 0.0))
 
     def test_matches_oracle_on_larger_tables(self):
         rng = np.random.default_rng(2024)
@@ -292,7 +290,7 @@ class TestBestSplit:
             ds = support.random_dataset(rng, max_rows=200, min_rows=40, max_attrs=5)
             min_leaf = int(rng.integers(1, 5))
             tc = support.random_costs(rng, ds.num_attributes)
-            chosen = best_split(ds.all_instances(), tc, 0.0, min_leaf_size=min_leaf)
+            chosen = best_split(ds, tc, 0.0, min_leaf_size=min_leaf)
             assert_matches_oracle(ds, chosen, min_leaf)
 
 
@@ -314,21 +312,20 @@ class TestGridGrowth:
         # 1e-100 ** -4 overflows a float
         tc = TestCostVector((1e-100, 1.0))
         ds = two_class([[0, 0], [1, 0], [2, 1], [3, 1]], [0, 0, 1, 1])
-        rows = ds.all_instances()
         with pytest.raises(ValueError, match="attribute 0 to the power -4.0 overflows"):
-            build_trees(rows, tc, [0.0, -4.0], min_leaf_size=1)
+            build_trees(ds, tc, [0.0, -4.0], min_leaf_size=1)
         with pytest.raises(ValueError, match="attribute 0"):
-            best_split(rows, tc, -4.0, min_leaf_size=1)
+            best_split(ds, tc, -4.0, min_leaf_size=1)
         # a re-tested attribute weighs 1
-        assert best_split(rows, tc, -4.0, frozenset({0}), min_leaf_size=1).heuristic_value == 1.0
+        assert best_split(ds, tc, -4.0, frozenset({0}), min_leaf_size=1).heuristic_value == 1.0
         # a constant column has no admissible pair, so its weight is never needed
         constant = two_class([[5, 0], [5, 0], [5, 1], [5, 1]], [0, 0, 1, 1])
-        tree = build_tree(constant.all_instances(), tc, -4.0, min_leaf_size=1)
+        tree = build_tree(constant, tc, -4.0, min_leaf_size=1)
         assert tree.root.attribute == 1
 
     @pytest.mark.parametrize("lam", [math.nan, -math.inf])
     def test_exponent_must_be_finite(self, lam):
-        rows = two_class([[0], [1], [2], [3]], [0, 0, 1, 1]).all_instances()
+        rows = two_class([[0], [1], [2], [3]], [0, 0, 1, 1])
         with pytest.raises(ValueError, match="finite and zero or negative"):
             build_trees(rows, TestCostVector((1.0,)), [0.0, lam])
         with pytest.raises(ValueError, match="finite and zero or negative"):
@@ -353,22 +350,21 @@ class TestGridGrowth:
         )
 
         def walk(node, rows, lam, path):
-            assert list(node.histogram) == list(rows.class_histogram())
+            assert list(node.histogram) == list(support.histogram(rows))
             alone = best_split(rows, tc, lam, path, min_leaf)
             if node.is_leaf:
                 assert alone is None
                 return
             assert (node.attribute, node.threshold) == (alone.attribute, alone.threshold)
-            left, right = rows.partition(node.attribute, node.threshold)
+            left, right = support.partition(rows, node.attribute, node.threshold)
             walk(node.left, left, lam, path | {node.attribute})
             walk(node.right, right, lam, path | {node.attribute})
 
-        rows = ds.all_instances()
         lams = LambdaGrid().values()
-        trees = build_trees(rows, tc, lams, min_leaf)
+        trees = build_trees(ds, tc, lams, min_leaf)
         assert [tree.lambda_used for tree in trees] == list(lams)
         for lam, tree in zip(lams, trees):
-            walk(tree.root, rows, lam, frozenset())
+            walk(tree.root, ds, lam, frozenset())
 
 
 class TestScanReference:
@@ -394,9 +390,9 @@ class TestScanReference:
         ds = Dataset.from_arrays(features, labels, class_names=tuple(map(str, range(k))))
         tc = TestCostVector(tuple(rng.uniform(0.5, 12.0, m)))
         tested = frozenset(np.flatnonzero(rng.random(m) < 0.3).tolist())
-        rows = InstanceSubset(ds, rng.permutation(n)[: int(rng.integers(1, n + 1))])
+        rows = ds.take(rng.permutation(n)[: int(rng.integers(1, n + 1))])
         want = oracles.best_split_per_attribute(
-            ds.features[rows.indices], ds.labels[rows.indices], k, tc.costs, lam,
+            rows.features, rows.labels, k, tc.costs, lam,
             tested, min_leaf,
         )
         chosen = best_split(rows, tc, lam, tested, min_leaf)
@@ -410,24 +406,24 @@ class TestScanReference:
 class TestBuildTree:
     def test_pure_training_set_is_one_leaf(self):
         ds = Dataset.from_arrays([[1.0], [2.0]], [1, 1], class_names=("a", "b"))
-        tree = build_tree(ds.all_instances(), TestCostVector((1,)), 0.0)
+        tree = build_tree(ds, TestCostVector((1,)), 0.0)
         assert tree.root.is_leaf
         assert tree.root.predicted_class == 1
         assert tree.node_count() == 1
 
     def test_small_subsets_stop(self):
         ds = two_class([[1], [2], [3]], [0, 1, 0])
-        tree = build_tree(ds.all_instances(), TestCostVector((1,)), 0.0, min_leaf_size=2)
+        tree = build_tree(ds, TestCostVector((1,)), 0.0, min_leaf_size=2)
         assert tree.root.is_leaf
 
     def test_majority_tie_predicts_lowest_class(self):
         ds = two_class([[1], [1], [2], [2]], [1, 0, 0, 1])
-        tree = build_tree(ds.all_instances(), TestCostVector((1,)), 0.0)
+        tree = build_tree(ds, TestCostVector((1,)), 0.0)
         assert tree.root.is_leaf
         assert tree.root.predicted_class == 0
 
     def test_sample_tree_roots_at_second_attribute(self, sample, table_costs):
-        tree = build_tree(sample.all_instances(), table_costs, -2.0)
+        tree = build_tree(sample, table_costs, -2.0)
         assert tree.root.attribute == 1
         assert tree.lambda_used == -2.0
         assert tree.tc_used == table_costs
@@ -438,23 +434,24 @@ class TestBuildTree:
             ds = support.random_dataset(rng)
             tc = support.random_costs(rng, ds.num_attributes)
             lam = float(rng.choice([-3.0, -1.5, 0.0]))
-            tree = build_tree(ds.all_instances(), tc, lam)
+            tree = build_tree(ds, tc, lam)
             seen = []
 
             def walk(node, rows):
+                # rows: positions in ds of the rows that reach node
                 if node.is_leaf:
-                    seen.extend(rows.indices.tolist())
-                    assert node.histogram.tolist() == rows.class_histogram().tolist()
+                    seen.extend(rows.tolist())
+                    assert node.histogram.tolist() == support.histogram(ds.take(rows)).tolist()
                     assert int(node.histogram.sum()) == len(rows)
                 else:
                     assert node.histogram.tolist() == (
                         node.left.histogram + node.right.histogram
                     ).tolist()
-                    left, right = rows.partition(node.attribute, node.threshold)
-                    walk(node.left, left)
-                    walk(node.right, right)
+                    goes_left = ds.features[rows, node.attribute] <= node.threshold
+                    walk(node.left, rows[goes_left])
+                    walk(node.right, rows[~goes_left])
 
-            walk(tree.root, ds.all_instances())
+            walk(tree.root, np.arange(len(ds)))
             assert sorted(seen) == list(range(ds.num_instances))
 
     def test_unit_costs_make_exponent_irrelevant(self):
@@ -464,26 +461,24 @@ class TestBuildTree:
         for _ in range(15):
             ds = support.random_dataset(rng)
             tc = TestCostVector((1.0,) * ds.num_attributes)
-            flat = build_tree(ds.all_instances(), tc, 0.0)
-            steep = build_tree(ds.all_instances(), tc, -4.0)
+            flat = build_tree(ds, tc, 0.0)
+            steep = build_tree(ds, tc, -4.0)
             assert structural_equal(flat, steep)
 
     def test_rejects_empty_training_set(self, sample):
-        from cstree.data import InstanceSubset
-
-        empty = InstanceSubset(sample, np.array([], dtype=np.int64))
-        with pytest.raises(ValueError, match="empty"):
-            build_tree(empty, TestCostVector((1,) * 8), 0.0)
+        # a training set is a Dataset, and no Dataset is empty
+        with pytest.raises(ValueError, match="at least one instance"):
+            sample.take([])
 
     def test_rejects_positive_exponent(self, sample, table_costs):
         with pytest.raises(ValueError):
-            build_tree(sample.all_instances(), table_costs, 1.0)
+            build_tree(sample, table_costs, 1.0)
 
 
 class TestClassify:
     def test_single_leaf_tests_nothing(self):
         ds = two_class([[1], [2]], [1, 1])
-        tree = build_tree(ds.all_instances(), TestCostVector((1,)), 0.0)
+        tree = build_tree(ds, TestCostVector((1,)), 0.0)
         predicted, tested = classify(tree, [99.0])
         assert predicted == 1
         assert tested == frozenset()
@@ -511,7 +506,7 @@ class TestClassify:
         for _ in range(20):
             ds = support.random_dataset(rng)
             tc = support.random_costs(rng, ds.num_attributes)
-            tree = build_tree(ds.all_instances(), tc, -1.0)
+            tree = build_tree(ds, tc, -1.0)
             root = json.loads(serialize(tree))["root"]
             for row in ds.features:
                 predicted, tested = classify(tree, row)
@@ -534,20 +529,20 @@ class TestSerialization:
         for _ in range(15):
             ds = support.random_dataset(rng)
             tc = support.random_costs(rng, ds.num_attributes)
-            tree = build_tree(ds.all_instances(), tc, float(rng.choice([-2.0, 0.0])))
+            tree = build_tree(ds, tc, float(rng.choice([-2.0, 0.0])))
             again = deserialize(serialize(tree))
             assert structural_equal(tree, again)
 
     def test_threshold_precision_survives(self):
         ds = two_class([[0.1], [0.30000000000000004]], [0, 1])
-        tree = build_tree(ds.all_instances(), TestCostVector((1,)), 0.0, min_leaf_size=1)
+        tree = build_tree(ds, TestCostVector((1,)), 0.0, min_leaf_size=1)
         assert not tree.root.is_leaf
         again = deserialize(serialize(tree))
         assert again.root.threshold == tree.root.threshold
 
     def test_single_leaf_round_trip(self):
         ds = two_class([[1], [2]], [1, 1])
-        tree = build_tree(ds.all_instances(), TestCostVector((1,)), 0.0)
+        tree = build_tree(ds, TestCostVector((1,)), 0.0)
         again = deserialize(serialize(tree))
         assert structural_equal(tree, again)
         assert again.root.predicted_class == 1
@@ -641,11 +636,11 @@ class TestAttachInstances:
             sizes[node_id] = len(rows)
             assert int(node.histogram.sum()) == len(rows)
             if not node.is_leaf:
-                left, right = rows.partition(node.attribute, node.threshold)
+                left, right = support.partition(rows, node.attribute, node.threshold)
                 walk(node.left, left, node_id + ".left")
                 walk(node.right, right, node_id + ".right")
 
-        walk(bound_fixture.root, sample.all_instances(), "root")
+        walk(bound_fixture.root, sample, "root")
         assert sizes["root"] == 24
         assert sizes["root.left.left"] == 9
         assert sizes["root.left.right.left"] == 4
@@ -664,13 +659,13 @@ class TestAttachInstances:
             sample.class_names,
         )
         with pytest.raises(ValueError, match="histograms"):
-            check_training_rows(tree, flipped.all_instances())
+            check_training_rows(tree, flipped)
 
     def test_rejects_wrong_attribute_count(self, fixture_tree_path):
         tree = deserialize(fixture_tree_path.read_text(encoding="utf-8"))
         ds = two_class([[1.0], [2.0]], [0, 1])
         with pytest.raises(ValueError, match="number of attributes"):
-            check_training_rows(tree, ds.all_instances())
+            check_training_rows(tree, ds)
 
     def test_rejects_wrong_class_count(self, fixture_tree_path):
         tree = deserialize(fixture_tree_path.read_text(encoding="utf-8"))
@@ -678,7 +673,7 @@ class TestAttachInstances:
             np.zeros((3, 8)), [0, 1, 2], class_names=("a", "b", "c")
         )
         with pytest.raises(ValueError, match="classes"):
-            check_training_rows(tree, ds.all_instances())
+            check_training_rows(tree, ds)
 
 
 class TestDeepTrees:
@@ -706,7 +701,7 @@ class TestDeepTrees:
     def test_counts_comparison_and_routing(self):
         ds, tree = self.chain()
         assert (tree.node_count(), tree.leaf_count()) == (2 * self.DEPTH + 1, self.DEPTH + 1)
-        check_training_rows(tree, ds.all_instances())
+        check_training_rows(tree, ds)
         _, other = self.chain()
         assert structural_equal(tree, other)
         deepest = other.root
@@ -718,7 +713,7 @@ class TestDeepTrees:
     def test_cost_and_pruning(self):
         ds, tree = self.chain()
         tc, mc = tree.tc_used, two_class_matrix(10.0, 10.0)
-        cost = average_cost(tree, ds.all_instances(), tc, mc)
+        cost = average_cost(tree, ds, tc, mc)
         assert (cost.test_cost_total, cost.misclassification_total) == (self.DEPTH + 1, 0.0)
         pruned, trace = post_prune(tree, tc, mc)
         assert [entry.node_id for entry in trace[:2]] == [
