@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,52 +61,69 @@ class SplitCandidate:
     heuristic_value: float
 
 
-def _xlog2x(values: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values, dtype=np.float64)
-    np.log2(values, out=out, where=values > 0)
-    out *= values
-    return out
+class _ScanData(NamedTuple):
+    """What the split scan reads of a training table, built once per growth."""
+
+    columns: np.ndarray  # (attributes, rows), one contiguous row per attribute
+    labels: np.ndarray
+    classes: np.ndarray  # 0, 1, ..., k - 1
+    # c * log2(c) and log2(c) for every count c from 0 to the number of rows,
+    # 0 at c = 0; the scan looks its counts up here
+    xlog2x: np.ndarray
+    log2: np.ndarray
 
 
-def _entropy_rows(count_rows: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    # log2(T) - sum(c * log2 c) / T per row; the row totals T must be positive
-    return np.log2(totals) - _xlog2x(count_rows).sum(axis=1) / totals
+def _scan_data(data: Dataset) -> _ScanData:
+    # numpy's vector log2 fills the tables, as the reference scan in
+    # tests/oracles.py takes it of whole count arrays, so every lookup is
+    # that value to the last bit (scalar math.log2 differs at a few counts)
+    counts = np.arange(len(data) + 1, dtype=np.float64)
+    logs = np.zeros_like(counts)
+    np.log2(counts, out=logs, where=counts > 0)
+    return _ScanData(
+        np.ascontiguousarray(data.features.T),
+        data.labels,
+        np.arange(data.num_classes),
+        logs * counts,
+        logs,
+    )
 
 
-def _ratio_scans(data: Dataset, rows: np.ndarray, hist, min_leaf_size: int):
-    """Every admissible (attribute, threshold) pair of ``data``'s
-    ``rows``, found in one pass over all attributes at once.
+def _presort(scan: _ScanData) -> np.ndarray:
+    """The (attributes, rows) matrix whose row a lists every row sorted
+    stably by attribute a: the row set a scan of all rows starts from."""
+    return np.argsort(scan.columns, axis=1, kind="stable")
 
-    Each column is sorted stably; a boundary lies between distinct
-    consecutive sorted values, and is admissible when both children hold
-    at least min_leaf_size rows, the gain is positive and the split
-    information is at least MIN_SPLIT_INFO. Returns (attributes,
-    thresholds, ratios) as flat arrays in attribute-major order, with
-    thresholds ascending within an attribute.
+
+def _ratio_scans(scan: _ScanData, order: np.ndarray, hist, min_leaf_size: int):
+    """Every admissible (attribute, threshold) pair of a row set, found in
+    one pass over all attributes at once.
+
+    Row a of ``order`` holds the set's rows sorted stably by attribute a.
+    A boundary lies between distinct consecutive sorted values, and is
+    admissible when both children hold at least min_leaf_size rows, the
+    gain is positive and the split information is at least MIN_SPLIT_INFO.
+    Returns (attributes, thresholds, ratios) as flat arrays in
+    attribute-major order, with thresholds ascending within an attribute.
     """
-    n = len(rows)
-    columns = data.features[rows].T
-    order = np.argsort(columns, axis=1, kind="stable")
-    ordered = np.take_along_axis(columns, order, axis=1)
+    n = order.shape[1]
+    ordered = scan.columns[np.arange(len(order))[:, None], order]
     attributes, position = np.nonzero(ordered[:, :-1] < ordered[:, 1:])
     keep = (position + 1 >= min_leaf_size) & (position + 1 <= n - min_leaf_size)
     attributes, position = attributes[keep], position[keep]
     # class counts left of every boundary; a count is at most n, so int32
     # holds it and keeps the (m, n, k) block small
-    ordered_labels = data.labels[rows][order]
-    below = np.cumsum(
-        ordered_labels[:, :, None] == np.arange(data.num_classes),
-        axis=1,
-        dtype=np.int32,
-    )
-    left_counts = below[attributes, position].astype(np.float64)
+    below = np.cumsum(scan.labels[order][:, :, None] == scan.classes, axis=1, dtype=np.int32)
+    left_counts = below[attributes, position]
     right_counts = hist - left_counts
-    n_left = (position + 1).astype(np.float64)
-    n_right = n - n_left
-    h_left = _entropy_rows(left_counts, n_left)
-    h_right = _entropy_rows(right_counts, n_right)
+    left_sizes = position + 1
+    right_sizes = n - left_sizes
+    n_left, n_right = left_sizes.astype(np.float64), right_sizes.astype(np.float64)
+    # a child's entropy is log2(T) - sum(c * log2 c) / T over its counts c
+    h_left = scan.log2[left_sizes] - scan.xlog2x[left_counts].sum(axis=1) / n_left
+    h_right = scan.log2[right_sizes] - scan.xlog2x[right_counts].sum(axis=1) / n_right
     gains = np.maximum(entropy(hist) - (n_left * h_left + n_right * h_right) / n, 0.0)
-    split_infos = math.log2(n) - (_xlog2x(n_left) + _xlog2x(n_right)) / n
+    split_infos = math.log2(n) - (scan.xlog2x[left_sizes] + scan.xlog2x[right_sizes]) / n
     admissible = (gains > 0.0) & (split_infos >= MIN_SPLIT_INFO)
     attributes, position = attributes[admissible], position[admissible]
     thresholds = (ordered[attributes, position] + ordered[attributes, position + 1]) / 2.0
@@ -152,18 +170,19 @@ def _first_maxima(ratios: np.ndarray, attributes: np.ndarray, weights: np.ndarra
     return picks, scores[np.arange(len(picks)), picks]
 
 
-def _splits(data, rows, hist, tc, lams, weights, tested_on_path, min_leaf_size):
-    """Each exponent's best split of ``data``'s ``rows``, in the order of ``lams``
-    (``weights`` holds their rows of _weights), or None when the row set
-    has no admissible pair.
+def _splits(scan, order, hist, tc, lams, weights, tested_on_path, min_leaf_size):
+    """Each exponent's best split of the row set whose presorted rows are
+    ``order`` (see _ratio_scans), in the order of ``lams`` (``weights``
+    holds their rows of _weights), or None when the row set has no
+    admissible pair.
 
     An attribute already tested on the path is weighed 1. A test cost
     whose power overflows raises ValueError, but only where an admissible
     pair of that attribute needs the weight.
     """
-    if len(rows) < 2 * min_leaf_size or int((hist > 0).sum()) <= 1:
+    if order.shape[1] < 2 * min_leaf_size or int((hist > 0).sum()) <= 1:
         return None
-    attributes, thresholds, ratios = _ratio_scans(data, rows, hist, min_leaf_size)
+    attributes, thresholds, ratios = _ratio_scans(scan, order, hist, min_leaf_size)
     if not len(ratios):
         return None
     weights = weights.copy()
@@ -198,14 +217,14 @@ def best_split(
     """
     lams = _checked_exponents([lam], data, tc, min_leaf_size)
     hist = np.bincount(data.labels, minlength=data.num_classes)
+    scan = _scan_data(data)
     splits = _splits(
-        data, np.arange(len(data)), hist, tc, lams, _weights(tc, lams), tested_on_path,
-        min_leaf_size,
+        scan, _presort(scan), hist, tc, lams, _weights(tc, lams), tested_on_path, min_leaf_size
     )
     return None if splits is None else splits[0]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, repr=False)
 class TreeNode:
     """One tree node; a leaf when ``attribute`` is None.
 
@@ -223,6 +242,25 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.attribute is None
+
+    def __repr__(self) -> str:
+        # the dataclass's own text, built children first on an explicit
+        # stack, the way serialize builds its dicts, so that any depth works
+        nodes, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            stack += [child for child in (node.left, node.right) if isinstance(child, TreeNode)]
+        built: list[str] = []
+        for node in reversed(nodes):
+            right = built.pop() if isinstance(node.right, TreeNode) else repr(node.right)
+            left = built.pop() if isinstance(node.left, TreeNode) else repr(node.left)
+            built.append(
+                f"{type(node).__qualname__}(histogram={node.histogram!r}, "
+                f"attribute={node.attribute!r}, threshold={node.threshold!r}, left={left}, "
+                f"right={right}, predicted_class={node.predicted_class!r})"
+            )
+        return built.pop()
 
 
 def walk(root: TreeNode):
@@ -244,7 +282,7 @@ def walk(root: TreeNode):
             stack.append((node.right, deeper))
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, repr=False)
 class DecisionTree:
     """A grown tree plus the exponent and test costs that grew it."""
 
@@ -257,6 +295,12 @@ class DecisionTree:
 
     def leaf_count(self) -> int:
         return sum(node.is_leaf for node, _ in walk(self.root))
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(root={self.root!r}, lambda_used={self.lambda_used!r}, "
+            f"tc_used={self.tc_used!r})"
+        )
 
 
 def build_trees(
@@ -275,19 +319,26 @@ def build_trees(
     each exponent picks from the same products as best_split, so every
     tree is the one that exponent grows alone. Exponents that pick the
     same split grow together, depth first, left before right.
+
+    The rows are sorted once per attribute, at the root. A child's sorted
+    rows are its parent's with the other child's taken out: a stable
+    partition of a stable sort is the stable sort of the child's rows,
+    ties in row order, so no node sorts again.
     """
     lams = _checked_exponents(lams, train, tc, min_leaf_size)
     exponents, weights = np.array(lams), _weights(tc, lams)
+    scan = _scan_data(train)
     # each exponent's root hangs as the left child of a placeholder
     tops = [TreeNode(histogram=None) for _ in lams]
-    # (rows, the exponents whose trees reach them, attributes tested above,
-    # those exponents' parent nodes, the side the new nodes hang on)
-    stack = [(np.arange(len(train)), np.arange(len(lams)), frozenset(), tops, "left")]
+    # (the rows sorted per attribute, the exponents whose trees reach them,
+    # attributes tested above, those exponents' parent nodes, the side the
+    # new nodes hang on)
+    stack = [(_presort(scan), np.arange(len(lams)), frozenset(), tops, "left")]
     while stack:
-        rows, group, path, parents, side = stack.pop()
-        hist = np.bincount(train.labels[rows], minlength=train.num_classes)
+        order, group, path, parents, side = stack.pop()
+        hist = np.bincount(train.labels[order[0]], minlength=train.num_classes)
         lams_here, weights_here = exponents[group], weights[group]
-        splits = _splits(train, rows, hist, tc, lams_here, weights_here, path, min_leaf_size)
+        splits = _splits(scan, order, hist, tc, lams_here, weights_here, path, min_leaf_size)
         if splits is None:
             nodes = [TreeNode(histogram=hist, predicted_class=int(np.argmax(hist)))] * len(group)
         else:
@@ -296,10 +347,13 @@ def build_trees(
             # pushed last to first, so each pick's left subtree grows first
             for attribute, threshold in reversed(dict.fromkeys(picks)):
                 members = [i for i, pick in enumerate(picks) if pick == (attribute, threshold)]
-                goes_left = train.features[rows, attribute] <= threshold
+                # every row of the mask keeps the same rows, in its own order
+                goes_left = scan.columns[attribute][order] <= threshold
+                left = order[goes_left].reshape(len(order), -1)
+                right = order[~goes_left].reshape(len(order), -1)
                 above, deeper = [nodes[i] for i in members], path | {attribute}
-                stack.append((rows[~goes_left], group[members], deeper, above, "right"))
-                stack.append((rows[goes_left], group[members], deeper, above, "left"))
+                stack.append((right, group[members], deeper, above, "right"))
+                stack.append((left, group[members], deeper, above, "left"))
         for parent, node in zip(parents, nodes):
             setattr(parent, side, node)
     return [DecisionTree(top.left, lam, tc) for top, lam in zip(tops, lams)]

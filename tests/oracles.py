@@ -8,10 +8,15 @@ The one exception is ``best_split_per_attribute``: the library's former
 split scan, one numpy pass per attribute. It is kept as written so that
 the one-pass scan over all attributes can be held to the same floats,
 bit for bit.
+
+``dataclass_repr`` reads objects too: it is the text a generated
+dataclass ``__repr__`` writes, recursing as that one does, which the
+package's trees build on an explicit stack.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -97,6 +102,19 @@ def prune_trace_json(tree_text: str, rows, labels, costs, penalties):
 
     visit(root, "root", set(), list(range(len(labels))))
     return entries
+
+
+def dataclass_repr(value) -> str:
+    """``repr`` as a generated dataclass ``__repr__`` writes it, recursing
+    into every dataclass in the fields; any other value is its own repr."""
+    if not dataclasses.is_dataclass(value) or isinstance(value, type):
+        return repr(value)
+    fields = ", ".join(
+        f"{field.name}={dataclass_repr(getattr(value, field.name))}"
+        for field in dataclasses.fields(value)
+        if field.repr
+    )
+    return f"{type(value).__qualname__}({fields})"
 
 
 def _histogram(labels, k):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 import support
+from cstree import tree as tree_module
 from cstree.competition import LambdaGrid
 from cstree.costs import TestCostVector, two_class_matrix
 from cstree.data import Dataset
@@ -366,6 +367,105 @@ class TestGridGrowth:
         for lam, tree in zip(lams, trees):
             walk(tree.root, ds, lam, frozenset())
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from([2, 3, 5, 12]),
+        min_leaf=st.integers(1, 4),
+        grid=st.sampled_from([1, 2, 3, 6]),
+    )
+    def test_every_node_matches_per_attribute_scan(self, seed, k, min_leaf, grid):
+        # Every split growth scans, at every node of every exponent's tree,
+        # held field for field and bit for bit to the per-attribute
+        # reference, which shares no code with growth's scan. The tables
+        # sit on a coarse grid, full of ties, with 0.0 and -0.0 mixed.
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 70)), int(rng.integers(1, 5))
+        features = rng.integers(-grid, grid + 1, size=(n, m)) / 4.0
+        features[(features == 0.0) & (rng.random((n, m)) < 0.5)] = -0.0
+        labels = rng.integers(0, k, size=n)
+        ds = Dataset.from_arrays(features, labels, class_names=tuple(map(str, range(k))))
+        tc = TestCostVector(tuple(rng.uniform(0.5, 12.0, m)))
+        lams = LambdaGrid().values()
+        scanned = {}  # (rows, attributes tested above, exponent) -> growth's split
+        splits_of = tree_module._splits
+
+        def recording(scan, order, hist, tc, lams_here, weights, path, min_leaf_size):
+            splits = splits_of(scan, order, hist, tc, lams_here, weights, path, min_leaf_size)
+            rows = tuple(np.sort(order[0]).tolist())
+            for i, lam in enumerate(lams_here.tolist()):
+                scanned[rows, path, lam] = None if splits is None else splits[i]
+            return splits
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tree_module, "_splits", recording)
+            trees = build_trees(ds, tc, lams, min_leaf)
+        for lam, tree in zip(lams, trees):
+            stack = [(tree.root, np.arange(n), frozenset())]
+            while stack:
+                node, rows, path = stack.pop()
+                split = scanned[tuple(rows.tolist()), path, lam]
+                want = oracles.best_split_per_attribute(
+                    ds.features[rows], ds.labels[rows], k, tc.costs, lam, path, min_leaf
+                )
+                if split is not None:
+                    split = (split.attribute, split.threshold, split.gain_ratio,
+                             split.heuristic_value)
+                assert split == want
+                if node.is_leaf:
+                    assert split is None
+                    continue
+                assert (node.attribute, node.threshold) == split[:2]
+                goes_left = ds.features[rows, node.attribute] <= node.threshold
+                deeper = path | {node.attribute}
+                stack.append((node.left, rows[goes_left], deeper))
+                stack.append((node.right, rows[~goes_left], deeper))
+
+
+class TestPresort:
+    """Growth sorts the training rows once per attribute, at the root, and
+    every node below keeps its parent's order by partitioning it. It looks
+    c * log2(c) and log2(c) up in tables built once per growth."""
+
+    def test_count_tables_hold_the_vector_log2_of_any_block(self):
+        # the reference computes each count's term inside blocks of class
+        # counts; scalar math.log2 differs from numpy's vector log2 at some
+        # counts below 20,000 on some builds (1621 among them)
+        n = 20_000
+        ds = Dataset.from_arrays(np.zeros((n, 1)), np.arange(n) % 2, class_names=("0", "1"))
+        scan = tree_module._scan_data(ds)
+        counts = np.random.default_rng(4).permutation(n + 1)
+        for k in (1, 3, 12):
+            block = counts[: len(counts) // k * k].reshape(-1, k)
+            assert scan.xlog2x[block].tolist() == oracles._xlog2x(block).tolist()
+            logs = np.zeros(block.shape)
+            np.log2(block, out=logs, where=block > 0)
+            assert scan.log2[block].tolist() == logs.tolist()
+
+    @pytest.mark.parametrize("grid_size", [1, 17])
+    @pytest.mark.parametrize("table", ["random", "pairs"])
+    def test_one_sort_per_growth(self, monkeypatch, grid_size, table):
+        if table == "pairs":
+            # rows x = 0..599 labelled in alternating pairs: about 300 levels deep
+            xs = np.arange(600)
+            ds = two_class(xs[:, None], (xs // 2) % 2)
+        else:
+            ds = support.random_dataset(np.random.default_rng(8), max_rows=200, min_rows=150)
+        lams = LambdaGrid().values()[-grid_size:]
+        sorted_shapes = []
+        argsort = np.argsort
+
+        def counting(a, *args, **kwargs):
+            sorted_shapes.append(np.shape(a))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting)
+        trees = build_trees(ds, support.random_costs(np.random.default_rng(9), ds.num_attributes),
+                            lams, min_leaf_size=1)
+        assert sorted_shapes == [(ds.num_attributes, len(ds))]
+        assert len(trees) == grid_size
+        assert max(tree.node_count() for tree in trees) >= (599 if table == "pairs" else 15)
+
 
 class TestScanReference:
     """best_split against the per-attribute scan reference in
@@ -513,6 +613,33 @@ class TestClassify:
                 oracle_class, oracle_attrs = oracles.classify_json(root, row)
                 assert predicted == oracle_class
                 assert tested == frozenset(oracle_attrs)
+
+
+class TestRepr:
+    """repr of nodes and trees is the dataclass text, built without recursion."""
+
+    def test_matches_recursive_reference_on_grown_trees(self):
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            ds = support.random_dataset(rng)
+            tc = support.random_costs(rng, ds.num_attributes)
+            for tree in build_trees(ds, tc, [0.0, -2.0], int(rng.integers(1, 3))):
+                assert repr(tree) == oracles.dataclass_repr(tree)
+                assert repr(tree.root) == oracles.dataclass_repr(tree.root)
+
+    def test_matches_recursive_reference_on_odd_nodes(self):
+        # shapes growth never makes but the dataclasses allow
+        leaf = TreeNode(np.array([2, 0]), predicted_class=0)
+        nodes = [
+            TreeNode(histogram=None),
+            TreeNode(np.array([1, 2]), None, None, leaf, None, 1),
+            TreeNode(np.array([2, 0]), 0, 0.5, None, leaf),
+            TreeNode(np.array([4, 0]), 1, -0.0, leaf, TreeNode(np.array([2, 0]), 0, 1.5)),
+        ]
+        for node in nodes:
+            assert repr(node) == oracles.dataclass_repr(node)
+        tree = DecisionTree(nodes[-1], -0.5, TestCostVector((1.0, 2.0)))
+        assert repr(tree) == oracles.dataclass_repr(tree)
 
 
 class TestSerialization:
@@ -723,6 +850,15 @@ class TestDeepTrees:
         assert trace[-1].node_id == "root" and len(trace) == self.DEPTH
         assert not any(entry.pruned for entry in trace)
         assert structural_equal(pruned, tree)
+
+    def test_repr(self):
+        _, tree = self.chain()
+        text = repr(tree)
+        assert text.count("TreeNode(") == 2 * self.DEPTH + 1
+        assert text.startswith(
+            "DecisionTree(root=TreeNode(histogram=array([1501, 1500]), attribute=0, "
+            f"threshold={self.DEPTH - 0.5}, left=TreeNode("
+        )
 
     def test_too_deep_for_json(self):
         _, tree = self.chain()
