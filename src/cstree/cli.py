@@ -234,9 +234,10 @@ def cmd_train(args) -> None:
     if _prune_mode(args) == "post":
         tree, entries = post_prune(tree, tc, mc, args.prune_on_tie)
     train_cost = average_cost(tree, train, tc, mc)
+    nodes = tree.node_count()
     for line in _mapping_lines(dataset):
         print(line)
-    print(f"lambda {lam}  nodes {tree.node_count()}  leaves {tree.leaf_count()}")
+    print(f"lambda {lam}  nodes {nodes}  leaves {tree.leaf_count()}")
     print(
         f"training average cost {train_cost.average} "
         f"(tests {train_cost.test_cost_total}, penalties {train_cost.misclassification_total})"
@@ -245,7 +246,7 @@ def cmd_train(args) -> None:
         "class_mapping": _mapping_json(dataset),
         "lambda": lam,
         "test_costs": list(tc.costs),
-        "nodes": tree.node_count(),
+        "nodes": nodes,
         "train": _breakdown_json(train_cost),
         "trace": _trace_json(entries),
     }

@@ -91,15 +91,24 @@ def run_competitions(
     """One competition per prune flag, keyed by the flag.
 
     The whole grid grows in one build_trees pass, and the pruned
-    competition prunes the same trees."""
+    competition prunes the same trees. Exponents whose trees are one
+    object share its pruning and its training cost, each computed once;
+    every record still holds its own DecisionTree with its own exponent."""
     grid = grid or LambdaGrid()
     lams = grid.values()
     records = {flag: [] for flag in prune_flags}
+    pruned, costs = {}, {}  # keyed by root node, which hashes by identity
     for lam, grown in zip(lams, build_trees(train, tc, lams, min_leaf_size)):
         for flag in prune_flags:
-            tree = post_prune(grown, tc, mc, prune_on_tie)[0] if flag else grown
-            cost = average_cost(tree, train, tc, mc)
-            records[flag].append(LambdaRecord(lam=lam, tree=tree, train_cost=cost))
+            root = grown.root
+            if flag:
+                if root not in pruned:
+                    pruned[root] = post_prune(grown, tc, mc, prune_on_tie)[0].root
+                root = pruned[root]
+            tree = DecisionTree(root, grown.lambda_used, grown.tc_used)
+            if root not in costs:
+                costs[root] = average_cost(tree, train, tc, mc)
+            records[flag].append(LambdaRecord(lam=lam, tree=tree, train_cost=costs[root]))
     results = {}
     for flag, flag_records in records.items():
         winner = flag_records[0]

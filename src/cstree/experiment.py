@@ -198,8 +198,10 @@ def trial_rows(
 ) -> list[TrialReportRow]:
     """Rows of one trial's competitions (run_competitions' result), by
     exponent and then unpruned before pruned, with held-out costs. A pruned
-    row carries its reduction ratio when the unpruned competition ran too."""
+    row carries its reduction ratio when the unpruned competition ran too.
+    Records that share a root are costed and counted once."""
     rows = []
+    measured = {}  # root node -> (held-out average, node count)
     for records in zip(*(sweep.records for sweep in sweeps.values())):
         by_flag = dict(zip(sweeps, records))
         for flag, record in by_flag.items():
@@ -209,14 +211,19 @@ def trial_rows(
                 after = record.train_cost.average
                 # a tree that charges nothing has nothing to reduce
                 saved = reduction_ratio(before, after) if before > 0 else 0.0
+            root = record.tree.root
+            if root not in measured:
+                test_cost = average_cost(record.tree, test, tc, mc)
+                measured[root] = test_cost.average, record.tree.node_count()
+            test_average, nodes = measured[root]
             rows.append(
                 TrialReportRow(
                     trial=trial,
                     lam=record.lam,
                     pruned=flag,
                     train_average=record.train_cost.average,
-                    test_average=average_cost(record.tree, test, tc, mc).average,
-                    tree_nodes=record.tree.node_count(),
+                    test_average=test_average,
+                    tree_nodes=nodes,
                     reduction=saved,
                 )
             )

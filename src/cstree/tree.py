@@ -96,15 +96,19 @@ def _presort(scan: _ScanData) -> np.ndarray:
 
 
 def _ratio_scans(scan: _ScanData, order: np.ndarray, hist, min_leaf_size: int):
-    """Every admissible (attribute, threshold) pair of a row set, found in
-    one pass over all attributes at once.
+    """Every admissible boundary of a row set, found in one pass over all
+    attributes at once.
 
     Row a of ``order`` holds the set's rows sorted stably by attribute a.
     A boundary lies between distinct consecutive sorted values, and is
     admissible when both children hold at least min_leaf_size rows, the
     gain is positive and the split information is at least MIN_SPLIT_INFO.
-    Returns (attributes, thresholds, ratios) as flat arrays in
-    attribute-major order, with thresholds ascending within an attribute.
+    Returns (attributes, positions, ratios, ordered, below): flat arrays of
+    the admissible boundaries in attribute-major order, positions ascending
+    within an attribute, where position p of attribute a lies between
+    ``ordered[a, p]`` and ``ordered[a, p + 1]``, the set's values sorted
+    per attribute, and ``below[a, p]`` counts the classes of the rows up
+    to and including p (in int32).
     """
     n = order.shape[1]
     ordered = scan.columns[np.arange(len(order))[:, None], order]
@@ -125,10 +129,16 @@ def _ratio_scans(scan: _ScanData, order: np.ndarray, hist, min_leaf_size: int):
     gains = np.maximum(entropy(hist) - (n_left * h_left + n_right * h_right) / n, 0.0)
     split_infos = math.log2(n) - (scan.xlog2x[left_sizes] + scan.xlog2x[right_sizes]) / n
     admissible = (gains > 0.0) & (split_infos >= MIN_SPLIT_INFO)
-    attributes, position = attributes[admissible], position[admissible]
-    thresholds = (ordered[attributes, position] + ordered[attributes, position + 1]) / 2.0
     ratios = gains[admissible] / split_infos[admissible]
-    return attributes, thresholds, ratios
+    return attributes[admissible], position[admissible], ratios, ordered, below
+
+
+def _threshold(lower: float, upper: float) -> float:
+    """The threshold of the boundary between two consecutive distinct
+    values: their midpoint, or ``lower`` where the midpoint rounds onto
+    ``upper`` or overflows and so would not split the rows there."""
+    midpoint = (lower + upper) / 2.0
+    return midpoint if lower <= midpoint < upper else lower
 
 
 def _checked_exponents(lams, data: Dataset, tc: TestCostVector, min_leaf_size: int):
@@ -170,11 +180,21 @@ def _first_maxima(ratios: np.ndarray, attributes: np.ndarray, weights: np.ndarra
     return picks, scores[np.arange(len(picks)), picks]
 
 
+class _Split(NamedTuple):
+    """A SplitCandidate plus the class counts of the rows it sends left."""
+
+    attribute: int
+    threshold: float
+    gain_ratio: float
+    heuristic_value: float
+    left_counts: np.ndarray
+
+
 def _splits(scan, order, hist, tc, lams, weights, tested_on_path, min_leaf_size):
     """Each exponent's best split of the row set whose presorted rows are
-    ``order`` (see _ratio_scans), in the order of ``lams`` (``weights``
-    holds their rows of _weights), or None when the row set has no
-    admissible pair.
+    ``order`` (see _ratio_scans), as a _Split in the order of ``lams``
+    (``weights`` holds their rows of _weights), or None when the row set
+    has no admissible pair.
 
     An attribute already tested on the path is weighed 1. A test cost
     whose power overflows raises ValueError, but only where an admissible
@@ -182,7 +202,9 @@ def _splits(scan, order, hist, tc, lams, weights, tested_on_path, min_leaf_size)
     """
     if order.shape[1] < 2 * min_leaf_size or int((hist > 0).sum()) <= 1:
         return None
-    attributes, thresholds, ratios = _ratio_scans(scan, order, hist, min_leaf_size)
+    attributes, positions, ratios, ordered, below = _ratio_scans(
+        scan, order, hist, min_leaf_size
+    )
     if not len(ratios):
         return None
     weights = weights.copy()
@@ -196,9 +218,13 @@ def _splits(scan, order, hist, tc, lams, weights, tested_on_path, min_leaf_size)
                 f"test cost {tc.cost(a)!r} of attribute {a} to the power {lam!r} overflows a float"
             )
     picks, scores = _first_maxima(ratios, attributes, weights)
+    attributes, positions = attributes[picks].tolist(), positions[picks].tolist()
+    # each split's own int64 copy of its left counts, like bincount's
     return [
-        SplitCandidate(int(attributes[i]), float(thresholds[i]), float(ratios[i]), score)
-        for i, score in zip(picks.tolist(), scores.tolist())
+        _Split(a, _threshold(float(ordered[a, p]), float(ordered[a, p + 1])), ratio, score,
+               below[a, p].astype(np.int64))
+        for a, p, ratio, score in zip(attributes, positions, ratios[picks].tolist(),
+                                      scores.tolist())
     ]
 
 
@@ -221,7 +247,7 @@ def best_split(
     splits = _splits(
         scan, _presort(scan), hist, tc, lams, _weights(tc, lams), tested_on_path, min_leaf_size
     )
-    return None if splits is None else splits[0]
+    return None if splits is None else SplitCandidate(*splits[0][:4])
 
 
 @dataclass(eq=False, repr=False)
@@ -320,29 +346,37 @@ def build_trees(
     tree is the one that exponent grows alone. Exponents that pick the
     same split grow together, depth first, left before right.
 
+    The trees share structure: wherever exponents grow equal subtrees from
+    the same row set, they hold one subtree object, and exponents that are
+    never told apart share one root. Treat the nodes as read-only. Callers
+    such as run_competitions prune and cost each distinct root once.
+
     The rows are sorted once per attribute, at the root. A child's sorted
     rows are its parent's with the other child's taken out: a stable
     partition of a stable sort is the stable sort of the child's rows,
-    ties in row order, so no node sorts again.
+    ties in row order, so no node sorts again. A child's class counts are
+    the ones the parent's scan counted left of the split's boundary.
     """
     lams = _checked_exponents(lams, train, tc, min_leaf_size)
     exponents, weights = np.array(lams), _weights(tc, lams)
     scan = _scan_data(train)
     # each exponent's root hangs as the left child of a placeholder
     tops = [TreeNode(histogram=None) for _ in lams]
-    # (the rows sorted per attribute, the exponents whose trees reach them,
-    # attributes tested above, those exponents' parent nodes, the side the
-    # new nodes hang on)
-    stack = [(_presort(scan), np.arange(len(lams)), frozenset(), tops, "left")]
+    internal: list[TreeNode] = []  # every split node, parents before children
+    # (the rows sorted per attribute, their class counts, the exponents
+    # whose trees reach them, attributes tested above, those exponents'
+    # parent nodes, the side the new nodes hang on)
+    hist = np.bincount(train.labels, minlength=train.num_classes)
+    stack = [(_presort(scan), hist, np.arange(len(lams)), frozenset(), tops, "left")]
     while stack:
-        order, group, path, parents, side = stack.pop()
-        hist = np.bincount(train.labels[order[0]], minlength=train.num_classes)
+        order, hist, group, path, parents, side = stack.pop()
         lams_here, weights_here = exponents[group], weights[group]
         splits = _splits(scan, order, hist, tc, lams_here, weights_here, path, min_leaf_size)
         if splits is None:
             nodes = [TreeNode(histogram=hist, predicted_class=int(np.argmax(hist)))] * len(group)
         else:
             nodes = [TreeNode(hist, split.attribute, split.threshold) for split in splits]
+            internal += nodes
             picks = [(split.attribute, split.threshold) for split in splits]
             # pushed last to first, so each pick's left subtree grows first
             for attribute, threshold in reversed(dict.fromkeys(picks)):
@@ -351,12 +385,25 @@ def build_trees(
                 goes_left = scan.columns[attribute][order] <= threshold
                 left = order[goes_left].reshape(len(order), -1)
                 right = order[~goes_left].reshape(len(order), -1)
+                left_hist = splits[members[0]].left_counts
+                right_hist = hist - left_hist
                 above, deeper = [nodes[i] for i in members], path | {attribute}
-                stack.append((right, group[members], deeper, above, "right"))
-                stack.append((left, group[members], deeper, above, "left"))
+                stack.append((right, right_hist, group[members], deeper, above, "right"))
+                stack.append((left, left_hist, group[members], deeper, above, "left"))
         for parent, node in zip(parents, nodes):
             setattr(parent, side, node)
-    return [DecisionTree(top.left, lam, tc) for top, lam in zip(tops, lams)]
+    # Hash-consing, children first: a split node whose test and (already
+    # shared) children equal an earlier one's is replaced by that node.
+    # Leaves are one object per row set and exponent group already, so
+    # comparing children by identity finds every equal subtree.
+    unique: dict[tuple, TreeNode] = {}
+    shared: dict[TreeNode, TreeNode] = {}  # each split node -> the one kept
+    for node in reversed(internal):
+        node.left = shared.get(node.left, node.left)
+        node.right = shared.get(node.right, node.right)
+        key = (node.attribute, node.threshold, node.left, node.right)
+        shared[node] = unique.setdefault(key, node)
+    return [DecisionTree(shared.get(top.left, top.left), lam, tc) for top, lam in zip(tops, lams)]
 
 
 def build_tree(

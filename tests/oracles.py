@@ -155,6 +155,8 @@ def best_gain_ratio_split(rows, labels, k, min_leaf=2):
         values = sorted({row[attribute] for row in rows})
         for low, high in zip(values, values[1:]):
             threshold = (low + high) / 2.0
+            if not low <= threshold < high:  # rounded onto high, or overflowed
+                threshold = low
             score = split_gain_ratio(rows, labels, k, attribute, threshold, min_leaf)
             if score is not None and (best is None or score > best[0]):
                 best = (score, attribute, threshold)
@@ -198,7 +200,11 @@ def scan_attribute(values, label_matrix, h_parent, min_leaf_size):
     h_right = _entropy_rows(right_counts)
     gains = np.maximum(h_parent - (n_left * h_left + n_right * h_right) / n, 0.0)
     split_infos = math.log2(n) - (_xlog2x(n_left) + _xlog2x(n_right)) / n
-    thresholds = (sv[boundary] + sv[boundary + 1]) / 2.0
+    low, high = sv[boundary], sv[boundary + 1]
+    with np.errstate(over="ignore"):
+        thresholds = (low + high) / 2.0
+    # a midpoint rounded onto high, or overflowed, does not split there
+    thresholds = np.where((low <= thresholds) & (thresholds < high), thresholds, low)
     return thresholds, gains, split_infos
 
 

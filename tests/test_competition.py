@@ -3,13 +3,23 @@ are scored on held-out rows and counted as winners across trials."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
+from cstree import competition as competition_module
+from cstree import experiment as experiment_module
 from cstree.competition import LambdaGrid, run_competition, run_competitions
-from cstree.costs import TestCostVector
-from cstree.evaluation import average_cost
+from cstree.costs import (
+    CostDistributionSpec,
+    MisclassificationMatrix,
+    TestCostVector,
+    generate_test_costs,
+)
+from cstree.evaluation import average_cost, reduction_ratio
 from cstree.experiment import TrialReportRow, report_summary, trial_rows
-from cstree.tree import serialize, structural_equal
+from cstree.pruning import post_prune
+from cstree.tree import build_tree, build_trees, serialize, structural_equal
 
 
 class TestLambdaGrid:
@@ -130,6 +140,90 @@ class TestWithTestCosts:
             ).average
             assert row.tree_nodes == record.tree.node_count()
             assert (row.reduction is None) == (not row.pruned)
+
+
+class TestSharedTrees:
+    """Exponents whose grown trees are one object are pruned, costed and
+    counted once, and every report figure stays what a loop over the
+    exponents gives."""
+
+    def test_prunes_and_costs_each_distinct_tree_once(self, sample, example_mc, monkeypatch):
+        calls = {"post_prune": [], "average_cost": [], "held_out": []}
+
+        def counting(name, module, function):
+            def counted(tree, *args):
+                calls[name].append(tree.root)
+                return function(tree, *args)
+
+            monkeypatch.setattr(module, function.__name__, counted)
+
+        counting("post_prune", competition_module, post_prune)
+        counting("average_cost", competition_module, average_cost)
+        counting("held_out", experiment_module, average_cost)
+        lams = LambdaGrid().values()
+        test = support.partition(sample, 1, 125.5)[1]
+        grown_total = 0
+        for seed in range(8):
+            tc = generate_test_costs(CostDistributionSpec(), 8, np.random.default_rng(seed))
+            distinct = len({tree.root for tree in build_trees(sample, tc, lams)})
+            grown_total += distinct
+            for found in calls.values():
+                found.clear()
+            sweeps = run_competitions(sample, tc, example_mc, prune_flags=(False, True))
+            trial_rows(seed, sweeps, test, tc, example_mc)
+            # one prune per distinct grown tree, one cost per (tree, flag)
+            assert len(calls["post_prune"]) == len(set(calls["post_prune"])) == distinct
+            assert len(calls["average_cost"]) == len(set(calls["average_cost"])) == 2 * distinct
+            assert len(calls["held_out"]) == len(set(calls["held_out"])) == 2 * distinct
+        # the sample's 17 exponents grow only a few distinct trees
+        assert grown_total < 8 * len(lams) / 2
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 4),
+        min_leaf=st.integers(1, 2),
+        prune_on_tie=st.booleans(),
+    )
+    def test_matches_a_per_exponent_loop(self, seed, k, min_leaf, prune_on_tie):
+        rng = np.random.default_rng(seed)
+        ds = support.random_dataset(rng, max_rows=50, max_classes=k)
+        k = ds.num_classes
+        # fractional costs, whose sums show the order of additions
+        tc = TestCostVector(tuple(rng.uniform(0.1, 10.0, ds.num_attributes)))
+        penalties = rng.uniform(0.1, 100.0, size=(k, k))
+        np.fill_diagonal(penalties, 0.0)
+        mc = MisclassificationMatrix(tuple(tuple(row) for row in penalties))
+        shuffled = rng.permutation(len(ds))
+        cut = len(ds) * 3 // 5
+        train, test = ds.take(np.sort(shuffled[:cut])), ds.take(shuffled[cut:])
+        grid = LambdaGrid()
+        sweeps = run_competitions(train, tc, mc, grid, (False, True), min_leaf, prune_on_tie)
+        rows = trial_rows(3, sweeps, test, tc, mc)
+        expected = []
+        for i, lam in enumerate(grid.values()):
+            grown = build_tree(train, tc, lam, min_leaf)
+            pruned = post_prune(grown, tc, mc, prune_on_tie)[0]
+            trained = {}
+            for flag, tree in ((False, grown), (True, pruned)):
+                record = sweeps[flag].records[i]
+                trained[flag] = average_cost(tree, train, tc, mc)
+                assert record.lam == lam
+                assert (record.tree.lambda_used, record.tree.tc_used) == (lam, tc)
+                assert serialize(record.tree) == serialize(tree)
+                assert repr(record.train_cost) == repr(trained[flag])
+            before, after = trained[False].average, trained[True].average
+            for flag, tree in ((False, grown), (True, pruned)):
+                saved = None
+                if flag:
+                    saved = reduction_ratio(before, after) if before > 0 else 0.0
+                expected.append(
+                    TrialReportRow(
+                        3, lam, flag, trained[flag].average,
+                        average_cost(tree, test, tc, mc).average, tree.node_count(), saved,
+                    )
+                )
+        assert [repr(row) for row in rows] == [repr(row) for row in expected]
 
 
 def _rows(trial, test_averages, pruned=False):

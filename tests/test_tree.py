@@ -421,6 +421,27 @@ class TestGridGrowth:
                 stack.append((node.left, rows[goes_left], deeper))
                 stack.append((node.right, rows[~goes_left], deeper))
 
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), scale=st.sampled_from([1.0, 1e100]))
+    def test_equal_trees_share_one_root(self, seed, k, scale):
+        # after one build_trees call, two exponents hold the same root
+        # object exactly when their trees serialize alike, lambda aside
+        rng = np.random.default_rng(seed)
+        ds = support.random_dataset(rng, max_rows=40, max_classes=k)
+        tc = TestCostVector(
+            tuple(scale * float(c) for c in rng.uniform(0.5, 12.0, ds.num_attributes))
+        )
+        trees = build_trees(ds, tc, LambdaGrid().values(), int(rng.integers(1, 3)))
+
+        def shape(tree):
+            doc = json.loads(serialize(tree))
+            del doc["lambda"]
+            return doc
+
+        for a in trees:
+            for b in trees:
+                assert (a.root is b.root) == (shape(a) == shape(b))
+
 
 class TestPresort:
     """Growth sorts the training rows once per attribute, at the root, and
@@ -564,6 +585,35 @@ class TestBuildTree:
             flat = build_tree(ds, tc, 0.0)
             steep = build_tree(ds, tc, -4.0)
             assert structural_equal(flat, steep)
+
+    @pytest.mark.parametrize(
+        "low,high",
+        [
+            # the midpoint rounds onto the upper value
+            (1.0000000000000002, 1.0000000000000004),
+            # the midpoint overflows to inf, and to -inf
+            (1e308, 1.5e308),
+            (-1.5e308, -1e308),
+        ],
+    )
+    def test_threshold_splits_the_scanned_boundary(self, low, high):
+        # the midpoint of these two values would send both left (or both
+        # right), so the threshold is the lower value; a threshold that
+        # did not split them would regrow the same rows forever
+        ds = two_class([[low], [low], [high], [high], [high]], [0, 0, 1, 1, 0])
+        tc = TestCostVector((1.0,))
+        split = best_split(ds, tc, 0.0, min_leaf_size=1)
+        assert split.threshold == low
+        assert oracles.best_split_per_attribute(ds.features, ds.labels, 2, tc.costs, 0.0, (), 1)[
+            :2
+        ] == (0, low)
+        assert oracles.best_gain_ratio_split(ds.features.tolist(), ds.labels.tolist(), 2, 1)[
+            1:
+        ] == (0, low)
+        tree = build_tree(ds, tc, 0.0, min_leaf_size=1)
+        assert tree.root.threshold == low
+        assert tree.root.left.histogram.tolist() == [2, 0]
+        check_training_rows(tree, ds)
 
     def test_rejects_empty_training_set(self, sample):
         # a training set is a Dataset, and no Dataset is empty
