@@ -10,6 +10,9 @@ as ``build_trees`` grows it together with the others in one pass.
 
 The inputs are the bundled 24-row sample and ``synthetic_300x6.csv``, a
 seeded 300x6 three-class table that ``_write_synthetic_table`` writes.
+Deeper trees, grown from seeded tables that ``_deep_case`` draws in
+memory, are pinned by the sha256 of their serialized text and their node
+count (``DEEP_DIGESTS``).
 The ``fractional_*`` cases run both inputs with fractional test costs and
 a non-integer matrix, where the totals depend on the order in which rows
 and tests are added.
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import io
 import sys
 from pathlib import Path
@@ -30,7 +34,9 @@ import numpy as np
 import pytest
 
 from cstree.cli import main
-from cstree.costs import load_cost_file
+from cstree.competition import LambdaGrid
+from cstree.costs import TestCostVector, load_cost_file
+from cstree.data import Dataset
 from cstree.data import load_csv
 from cstree.tree import build_tree, build_trees, serialize
 
@@ -164,6 +170,64 @@ def _grown_trees(name: str, together: bool) -> dict[str, bytes]:
 def test_build_tree_matches_golden(name, together):
     for file_name, data in _grown_trees(name, together).items():
         assert data == (TREES / file_name).read_bytes(), f"{file_name} differs"
+
+
+# case -> (sha256 of the serialized trees, one per line, total node count)
+DEEP_DIGESTS = {
+    "rows5000_k3_lam-1": (
+        "185a779828be35f2cc4a03fccb21cd42f60738da766960622be7ffc64ac337bb", 3017,
+    ),
+    "rows460_k2_grid": (
+        "6add06854a4408ee3f55f37801dd1cb6ee56785f9c6e095bc107c6570bc023b6", 4569,
+    ),
+    "rows400_k11_grid": (
+        "5878e3514db37f29658c2ba0e7c3a8ddf50409aecb68b0f063efe1057d45d2df", 5815,
+    ),
+}
+
+
+def _deep_case(name: str):
+    """The table, test costs and exponents of one DEEP_DIGESTS case.
+
+    * ``rows5000_k3_lam-1``: 5,000 rows of eight Gaussian columns at two
+      decimals, three classes from noisy linear scores, grown at -1.
+    * ``rows460_k2_grid``: 460 rows shaped like the Pima training split,
+      two classes, grown over the 17-exponent grid.
+    * ``rows400_k11_grid``: 400 rows, five columns on a quarter grid and
+      11 classes drawn at random, over the grid. Summing its class terms
+      left to right instead of as numpy's pairwise sum does changes 12 of
+      its 17 trees.
+    """
+    grid = LambdaGrid().values()
+    if name == "rows5000_k3_lam-1":
+        rng = np.random.default_rng(51)
+        x = np.round(rng.normal(0.0, 1.0, size=(5000, 8)), 2)
+        scores = x @ rng.normal(0.0, 1.0, size=(8, 3)) + rng.gumbel(0.0, 1.0, size=(5000, 3))
+        y, k, lams = scores.argmax(axis=1), 3, [-1.0]
+    elif name == "rows460_k2_grid":
+        rng = np.random.default_rng(52)
+        x = np.round(rng.normal(50.0, 15.0, size=(460, 8)), 1)
+        score = (x - 50.0) @ rng.normal(0.0, 0.05, size=8) + rng.logistic(0.0, 1.0, size=460)
+        y, k, lams = (score > 0.5).astype(int), 2, grid
+    else:
+        rng = np.random.default_rng(5)
+        k = int(rng.integers(8, 13))
+        x = rng.integers(0, 40, size=(400, 5)) / 4.0
+        y, lams = rng.integers(0, k, size=400), grid
+    tc = TestCostVector(tuple(float(c) for c in rng.integers(1, 11, x.shape[1])))
+    rows = Dataset.from_arrays(x, y, class_names=tuple(map(str, range(k))))
+    return rows, tc, lams
+
+
+def _deep_digest(name: str) -> tuple[str, int]:
+    trees = build_trees(*_deep_case(name))
+    text = "\n".join(serialize(tree) for tree in trees)
+    return hashlib.sha256(text.encode()).hexdigest(), sum(tree.node_count() for tree in trees)
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_DIGESTS))
+def test_deep_trees_match_recorded_digests(name):
+    assert _deep_digest(name) == DEEP_DIGESTS[name]
 
 
 def _write_synthetic_table(path: Path) -> None:
