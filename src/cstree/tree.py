@@ -44,8 +44,8 @@ DEFAULT_MIN_LEAF = 2
 def entropy(histogram) -> float:
     """Shannon entropy, in bits, of a vector of class counts."""
     counts = np.asarray(histogram, dtype=np.float64)
-    if counts.ndim != 1 or counts.size == 0 or (counts < 0).any():
-        raise ValueError("histogram must be a 1-D vector of nonnegative counts")
+    if counts.ndim != 1 or counts.size == 0 or not (np.isfinite(counts) & (counts >= 0)).all():
+        raise ValueError("histogram must be a 1-D vector of finite nonnegative counts")
     total = counts.sum()
     if total <= 0:
         raise ValueError("histogram must count at least one instance")
@@ -65,8 +65,10 @@ class _ScanData(NamedTuple):
     """What the split scan reads of a training table, built once per growth."""
 
     columns: np.ndarray  # (attributes, rows), one contiguous row per attribute
+    values: np.ndarray  # columns.ravel(): row r of attribute a at a * rows + r
+    offsets: np.ndarray  # (attributes, 1): a * rows, where each attribute's values start
     labels: np.ndarray
-    classes: np.ndarray  # 0, 1, ..., k - 1
+    of_class: np.ndarray  # (classes, rows) bool: row r is of class c
     # c * log2(c) and log2(c) for every count c from 0 to the number of rows,
     # 0 at c = 0; the scan looks its counts up here
     xlog2x: np.ndarray
@@ -80,10 +82,13 @@ def _scan_data(data: Dataset) -> _ScanData:
     counts = np.arange(len(data) + 1, dtype=np.float64)
     logs = np.zeros_like(counts)
     np.log2(counts, out=logs, where=counts > 0)
+    columns = np.ascontiguousarray(data.features.T)
     return _ScanData(
-        np.ascontiguousarray(data.features.T),
+        columns,
+        columns.ravel(),
+        np.arange(data.num_attributes)[:, None] * len(data),
         data.labels,
-        np.arange(data.num_classes),
+        data.labels == np.arange(data.num_classes)[:, None],
         logs * counts,
         logs,
     )
@@ -95,42 +100,55 @@ def _presort(scan: _ScanData) -> np.ndarray:
     return np.argsort(scan.columns, axis=1, kind="stable")
 
 
-def _ratio_scans(scan: _ScanData, order: np.ndarray, hist, min_leaf_size: int):
-    """Every admissible boundary of a row set, found in one pass over all
-    attributes at once.
-
-    Row a of ``order`` holds the set's rows sorted stably by attribute a.
-    A boundary lies between distinct consecutive sorted values, and is
-    admissible when both children hold at least min_leaf_size rows, the
-    gain is positive and the split information is at least MIN_SPLIT_INFO.
-    Returns (attributes, positions, ratios, ordered, below): flat arrays of
-    the admissible boundaries in attribute-major order, positions ascending
-    within an attribute, where position p of attribute a lies between
-    ``ordered[a, p]`` and ``ordered[a, p + 1]``, the set's values sorted
-    per attribute, and ``below[a, p]`` counts the classes of the rows up
-    to and including p (in int32).
+class _Level(NamedTuple):
+    """The row sets at one depth of growth, and their (row set, exponent)
+    pairs. A row set is the rows one group of exponents sends to a node;
+    the same rows reached by two groups are two row sets. Their presorted
+    rows sit side by side in ``order``: row set s in ``sizes[s]`` columns,
+    in the order of the row sets.
     """
-    n = order.shape[1]
-    ordered = scan.columns[np.arange(len(order))[:, None], order]
-    attributes, position = np.nonzero(ordered[:, :-1] < ordered[:, 1:])
-    keep = (position + 1 >= min_leaf_size) & (position + 1 <= n - min_leaf_size)
-    attributes, position = attributes[keep], position[keep]
-    # class counts left of every boundary; a count is at most n, so int32
-    # holds it and keeps the (m, n, k) block small
-    below = np.cumsum(scan.labels[order][:, :, None] == scan.classes, axis=1, dtype=np.int32)
-    left_counts = below[attributes, position]
-    right_counts = hist - left_counts
-    left_sizes = position + 1
-    right_sizes = n - left_sizes
-    n_left, n_right = left_sizes.astype(np.float64), right_sizes.astype(np.float64)
-    # a child's entropy is log2(T) - sum(c * log2 c) / T over its counts c
-    h_left = scan.log2[left_sizes] - scan.xlog2x[left_counts].sum(axis=1) / n_left
-    h_right = scan.log2[right_sizes] - scan.xlog2x[right_counts].sum(axis=1) / n_right
-    gains = np.maximum(entropy(hist) - (n_left * h_left + n_right * h_right) / n, 0.0)
-    split_infos = math.log2(n) - (scan.xlog2x[left_sizes] + scan.xlog2x[right_sizes]) / n
-    admissible = (gains > 0.0) & (split_infos >= MIN_SPLIT_INFO)
-    ratios = gains[admissible] / split_infos[admissible]
-    return attributes[admissible], position[admissible], ratios, ordered, below
+
+    order: np.ndarray  # (attributes, rows of all sets); row a sorted stably by attribute a
+    sizes: np.ndarray  # (sets,)
+    hists: np.ndarray  # (sets, classes) int64 class counts
+    paths: np.ndarray  # (sets, attributes) bool, the attributes tested above
+    pair_set: np.ndarray  # (pairs,) each pair's row set
+    pair_exp: np.ndarray  # (pairs,) each pair's exponent, an index into the grid
+
+
+def _root_level(scan: _ScanData, num_classes: int, exponents: int, path) -> _Level:
+    """The one row set of every training row, reached by every exponent,
+    with the attributes of ``path`` tested above it."""
+    hists = np.bincount(scan.labels, minlength=num_classes)[None, :]
+    paths = np.zeros((1, len(scan.columns)), dtype=bool)
+    paths[0, sorted(path)] = True
+    return _Level(_presort(scan), hists.sum(axis=1), hists, paths,
+                  np.zeros(exponents, np.intp), np.arange(exponents))
+
+
+def _class_sums(table: np.ndarray, counts: list) -> np.ndarray:
+    """Per position, the sum over the classes of ``table`` at each class's
+    count there, as numpy sums a (positions, classes) block of the terms:
+    left to right below 8 classes, and pairwise, by numpy's own reduction,
+    from 8 on."""
+    if len(counts) >= 8:
+        return table.take(np.stack(counts, axis=1)).sum(axis=1)
+    total = table.take(counts[0])
+    for count in counts[1:]:
+        total += table.take(count)
+    return total
+
+
+def _entropies(hists: np.ndarray) -> np.ndarray:
+    """entropy of every row of a (sets, classes) block of class counts,
+    to the last bit: below 8 classes the zero counts add +-0.0 terms to a
+    left-to-right sum, which leaves it unchanged."""
+    if hists.shape[1] >= 8:
+        return np.array([entropy(hist) for hist in hists])
+    counts = hists.T.astype(np.float64)
+    probs = counts / counts.sum(axis=0)
+    # log2(1) = 0 stands in for log2(0) at a zero count; 0.0 - x is -x + 0.0
+    return 0.0 - (probs * np.log2(probs + (counts == 0))).sum(axis=0)
 
 
 def _threshold(lower: float, upper: float) -> float:
@@ -154,78 +172,273 @@ def _checked_exponents(lams, data: Dataset, tc: TestCostVector, min_leaf_size: i
     return lams
 
 
-def _weight(tc: TestCostVector, lam: float, a: int) -> float:
-    """tc(a) ** lam, or inf where the power overflows a float."""
-    try:
-        return tc.cost(a) ** lam
-    except OverflowError:
-        return math.inf
-
-
 def _weights(tc: TestCostVector, lams) -> np.ndarray:
-    """The (exponents x attributes) matrix of _weight."""
-    rows = [[_weight(tc, lam, a) for a in range(len(tc))] for lam in lams]
+    """The (exponents x attributes) matrix of tc(a) ** lam, inf where the
+    power overflows a float."""
+    rows = []
+    for lam in lams:
+        row = []
+        for cost in tc.costs:
+            try:
+                row.append(cost**lam)
+            except OverflowError:
+                row.append(math.inf)
+        rows.append(row)
     return np.array(rows, dtype=np.float64).reshape(len(lams), len(tc))
 
 
-def _first_maxima(ratios: np.ndarray, attributes: np.ndarray, weights: np.ndarray):
-    """Per row of ``weights``, the index of the first maximum of
-    ratios * weights[row, attributes], and that maximum.
+# Boundaries whose gain ratios are computed together: on a level of
+# 20,000 rows, arrays of every boundary at once would hold tens of MB.
+_SLICE = 1 << 14
 
-    The pairs are in attribute-major order, so ties go to the lowest
-    attribute, then the lowest threshold.
+
+class _Columns(NamedTuple):
+    """Per column of a level's block: its row set, and what a boundary
+    right after it makes: the children's sizes and the split information."""
+
+    set_of: np.ndarray
+    left_size: np.ndarray
+    right_size: np.ndarray
+    set_size: np.ndarray  # as floats
+    split_info: np.ndarray
+
+
+def _gain_ratios(scan, columns: _Columns, prefixes, hists, entropies, cells):
+    """The admissible boundaries among ``cells`` (see _candidates), and
+    their gain ratios."""
+    position = cells % len(columns.set_of)
+    sets = columns.set_of.take(position)
+    left_sizes, right_sizes = columns.left_size.take(position), columns.right_size.take(position)
+    # each class's rows left of the boundary: prefix counts at the boundary
+    # less those before its row set's first column; class 0 holds the rest
+    ends = cells + 1
+    starts = ends - left_sizes
+    left = [prefix.take(ends) - prefix.take(starts) for prefix in prefixes]
+    left.insert(0, left_sizes - sum(left))
+    # a child's entropy is log2(T) - sum(c * log2 c) / T over its counts c
+    n_left, n_right = left_sizes.astype(np.float64), right_sizes.astype(np.float64)
+    h_left = scan.log2.take(left_sizes) - _class_sums(scan.xlog2x, left) / n_left
+    right = [hist.take(sets) - count for hist, count in zip(hists.T, left)]
+    h_right = scan.log2.take(right_sizes) - _class_sums(scan.xlog2x, right) / n_right
+    # gain = entropy(parent) - (n_left * h_left + n_right * h_right) / n
+    h_left *= n_left
+    h_right *= n_right
+    h_left += h_right
+    h_left /= columns.set_size.take(position)
+    gains = entropies.take(sets)
+    gains -= h_left
+    np.maximum(gains, 0.0, out=gains)
+    split_infos = columns.split_info.take(position)
+    admissible = ((gains > 0.0) & (split_infos >= MIN_SPLIT_INFO)).nonzero()[0]
+    return cells.take(admissible), gains.take(admissible) / split_infos.take(admissible)
+
+
+def _candidates(scan: _ScanData, level: _Level, min_leaf_size: int):
+    """Every admissible boundary of a level, and its gain ratio, from one
+    pass over the block of all its row sets and attributes.
+
+    A row set is open when it holds rows of more than one class. A boundary
+    lies between distinct consecutive sorted values of one open row set,
+    and is admissible when both children hold at least min_leaf_size rows,
+    the gain is positive and the split information is at least
+    MIN_SPLIT_INFO. Returns (cells, ratios, set_of): each boundary as the
+    cell a * n + p of the (attributes, n) block whose column p it follows,
+    attribute-major and columns ascending, its gain ratio, and the row set
+    of every column.
     """
-    scores = ratios * weights[:, attributes]
-    picks = np.argmax(scores, axis=1)
-    return picks, scores[np.arange(len(picks)), picks]
-
-
-class _Split(NamedTuple):
-    """A SplitCandidate plus the class counts of the rows it sends left."""
-
-    attribute: int
-    threshold: float
-    gain_ratio: float
-    heuristic_value: float
-    left_counts: np.ndarray
-
-
-def _splits(scan, order, hist, tc, lams, weights, tested_on_path, min_leaf_size):
-    """Each exponent's best split of the row set whose presorted rows are
-    ``order`` (see _ratio_scans), as a _Split in the order of ``lams``
-    (``weights`` holds their rows of _weights), or None when the row set
-    has no admissible pair.
-
-    An attribute already tested on the path is weighed 1. A test cost
-    whose power overflows raises ValueError, but only where an admissible
-    pair of that attribute needs the weight.
-    """
-    if order.shape[1] < 2 * min_leaf_size or int((hist > 0).sum()) <= 1:
-        return None
-    attributes, positions, ratios, ordered, below = _ratio_scans(
-        scan, order, hist, min_leaf_size
+    order, sizes, hists = level.order, level.sizes, level.hists
+    m, n = order.shape
+    opened = (sizes >= 2 * min_leaf_size) & ((hists > 0).sum(axis=1) > 1)
+    if not opened.any():
+        return np.zeros(0, np.intp), np.zeros(0), None
+    # per column: its row set, and what a boundary right after it makes
+    set_of = np.repeat(np.arange(len(sizes)), sizes)
+    left_size = np.arange(1, n + 1) - (sizes.cumsum() - sizes)[set_of]
+    set_size = sizes[set_of]
+    right_size = set_size - left_size
+    set_size = set_size.astype(np.float64)
+    log2_sizes = np.array([math.log2(size) for size in sizes.tolist()])
+    columns = _Columns(
+        set_of, left_size, right_size, set_size,
+        log2_sizes[set_of] - (scan.xlog2x.take(left_size) + scan.xlog2x.take(right_size)) / set_size,
     )
-    if not len(ratios):
-        return None
-    weights = weights.copy()
-    weights[:, sorted(tested_on_path)] = 1.0
-    if np.isinf(weights).any():
-        used = np.unique(attributes)
-        rows, columns = np.nonzero(np.isinf(weights[:, used]))
-        if len(rows):
-            lam, a = float(lams[rows[0]]), int(used[columns[0]])
+    fits = (left_size >= min_leaf_size) & (right_size >= min_leaf_size) & opened[set_of]
+    values = scan.values.take(order + scan.offsets)
+    boundary = np.zeros((m, n), dtype=bool)
+    np.logical_and(values[:, :-1] < values[:, 1:], fits[:-1], out=boundary[:, :-1])
+    del values
+    cells = boundary.ravel().nonzero()[0]
+    # the class counts of every prefix of the block, of each class but 0:
+    # integers, so the differences the scan takes of them are exact
+    prefixes = []
+    for rows in scan.of_class[1:] if len(cells) else ():
+        prefixes.append(np.zeros(m * n + 1, np.int64))
+        rows.take(order).cumsum(out=prefixes[-1][1:])
+    entropies = _entropies(hists)
+    # the admissible boundaries' cells, kept in place, and their ratios
+    ratios, kept = np.empty(len(cells)), 0
+    for i in range(0, len(cells), _SLICE):
+        admissible, gain_ratios = _gain_ratios(
+            scan, columns, prefixes, hists, entropies, cells[i:i + _SLICE]
+        )
+        cells[kept:kept + len(admissible)] = admissible
+        ratios[kept:kept + len(admissible)] = gain_ratios
+        kept += len(admissible)
+    return cells[:kept], ratios[:kept], set_of
+
+
+def _first_maxima(ratios, attributes, weights, sets=None, pair_sets=None):
+    """Per row of ``weights``, the index of the first maximum of
+    ratios * weights[row, attributes] over the candidates of the row's row
+    set, and that maximum; -inf for a row whose row set has none.
+
+    ``sets`` holds each candidate's row set and ``pair_sets`` each row's;
+    by default all belong to one. The candidates come attribute-major, row
+    sets ascending within an attribute and positions within a row set, so
+    ties go to the lowest attribute, then the lowest threshold.
+
+    A weight is positive, so it keeps the order of the ratios it
+    multiplies: a row's maximum is the largest of its (attribute, row set)
+    blocks' largest ratios times their weights. Rounding can make a
+    smaller ratio's product equal that maximum, so the pick is the first
+    candidate of the winning block whose product equals it.
+    """
+    if sets is None:
+        sets, pair_sets = np.zeros_like(attributes), np.zeros(len(weights), np.intp)
+    num_sets = int(pair_sets.max()) + 1
+    keys = attributes * num_sets + sets  # ascending, one value per block
+    edges = np.empty(len(keys), dtype=bool)
+    edges[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=edges[1:])
+    starts = edges.nonzero()[0]
+    maxima = np.full(weights.shape[1] * num_sets, -np.inf)
+    maxima[keys.take(starts)] = np.maximum.reduceat(ratios, starts)
+    maxima = maxima.reshape(-1, num_sets).T[pair_sets]
+    # a zero weight (from underflow) times the -inf of an empty block is nan
+    scores = np.full(maxima.shape, -np.inf)
+    np.multiply(maxima, weights, out=scores, where=maxima > -np.inf)
+    wins, tops = scores.argmax(axis=1), scores.max(axis=1)
+    # every row's winning block, laid end to end (none for a row without one)
+    blocks = wins * num_sets + pair_sets
+    firsts = keys.searchsorted(blocks)
+    sizes = keys.searchsorted(blocks, "right") - firsts
+    offsets = sizes.cumsum() - sizes
+    members = np.repeat(firsts - offsets, sizes) + np.arange(offsets[-1] + sizes[-1])
+    products = ratios.take(members) * np.repeat(weights[np.arange(len(wins)), wins], sizes)
+    hits = (products == np.repeat(tops, sizes)).nonzero()[0]
+    return members.take(hits.take(np.minimum(hits.searchsorted(offsets), len(hits) - 1))), tops
+
+
+class _Picks(NamedTuple):
+    """Each pair's best split. ``split`` marks the pairs that have one; the
+    other fields hold one entry per such pair, in pair order."""
+
+    split: np.ndarray  # (pairs,) bool
+    candidate: np.ndarray  # equal for equal splits of a level, distinct otherwise
+    attribute: np.ndarray
+    threshold: np.ndarray
+    gain_ratio: np.ndarray
+    heuristic_value: np.ndarray
+
+
+def _scan_level(scan, level: _Level, weights, lams, tc, min_leaf_size) -> _Picks:
+    """Every pair's best split of one level (see _candidates for the
+    boundaries it admits).
+
+    A pair scores its row set's boundaries as gain ratio times its weight
+    (``weights`` holds a row per exponent), 1 for an attribute tested
+    above. A test cost whose power overflows raises ValueError, but only
+    where a boundary of that attribute is admissible; of several, the
+    message names the first exponent, then the lowest attribute.
+    """
+    order, sizes, _, paths, pair_set, pair_exp = level
+    cells, ratios, set_of = _candidates(scan, level, min_leaf_size)
+    if not len(cells):
+        empty = np.zeros(0)
+        return _Picks(np.zeros(len(pair_set), dtype=bool), *[empty] * 5)
+    (m, n), rows = order.shape, len(scan.labels)
+    attributes, sets = cells // n, set_of.take(cells % n)
+    pair_weights = weights[pair_exp]
+    pair_weights[paths[pair_set]] = 1.0
+    if np.isinf(pair_weights).any():
+        used = np.zeros((len(sizes), m), dtype=bool)
+        used[sets, attributes] = True
+        pairs, columns = (np.isinf(pair_weights) & used[pair_set]).nonzero()
+        if len(pairs):
+            first = (pair_exp[pairs] * m + columns).argmin()
+            lam, a = lams[pair_exp[pairs[first]]], int(columns[first])
             raise ValueError(
                 f"test cost {tc.cost(a)!r} of attribute {a} to the power {lam!r} overflows a float"
             )
-    picks, scores = _first_maxima(ratios, attributes, weights)
-    attributes, positions = attributes[picks].tolist(), positions[picks].tolist()
-    # each split's own int64 copy of its left counts, like bincount's
-    return [
-        _Split(a, _threshold(float(ordered[a, p]), float(ordered[a, p + 1])), ratio, score,
-               below[a, p].astype(np.int64))
-        for a, p, ratio, score in zip(attributes, positions, ratios[picks].tolist(),
-                                      scores.tolist())
-    ]
+    picks, tops = _first_maxima(ratios, attributes, pair_weights, sets, pair_set)
+    split = tops > -np.inf
+    picks = picks[split]
+    cells, a = cells.take(picks), attributes.take(picks)
+    order = order.ravel()
+    lower = scan.values.take(order.take(cells) + a * rows)
+    upper = scan.values.take(order.take(cells + 1) + a * rows)
+    thresholds = [_threshold(low, high) for low, high in zip(lower.tolist(), upper.tolist())]
+    return _Picks(split, picks, a, np.array(thresholds), ratios.take(picks), tops[split])
+
+
+def _children(scan: _ScanData, level: _Level, picks: _Picks, firsts, group_of) -> _Level:
+    """The next level: the two children of every distinct split of
+    ``level``, left children first, then right children, in the order of
+    the splits' groups.
+
+    ``firsts`` lists, per group of pairs that picked the same split, the
+    index of its first split among ``picks``, and ``group_of`` the group of
+    every split. The children's rows come from one gather of the split row
+    sets' columns and one compress per side: every row of the gathered
+    block keeps each child's rows in its own sorted order, and a stable
+    partition of a stable sort is the stable sort of the part, ties in row
+    order, so no row set is sorted again.
+    """
+    (m, rows), num_classes = scan.columns.shape, level.hists.shape[1]
+    num_groups, firsts = len(firsts), np.array(firsts)
+    sets = level.pair_set[picks.split][firsts]
+    attributes = picks.attribute[firsts]
+    paths = level.paths[sets]
+    paths[np.arange(num_groups), attributes] = True
+    # the columns of every split row set, end to end
+    spans = level.sizes[sets]
+    offsets = spans.cumsum() - spans
+    starts = (level.sizes.cumsum() - level.sizes)[sets]
+    block = level.order[:, np.repeat(starts - offsets, spans) + np.arange(offsets[-1] + spans[-1])]
+    goes_left = (scan.values.take(block + np.repeat(attributes * rows, spans))
+                 <= np.repeat(picks.threshold[firsts], spans))
+    # each split's class counts left, from its rows in attribute 0's order
+    left = goes_left[0]
+    left = np.bincount(
+        np.repeat(np.arange(0, num_groups * num_classes, num_classes), spans)[left]
+        + scan.labels.take(block[0][left]),
+        minlength=num_groups * num_classes,
+    ).reshape(num_groups, num_classes)
+    hists = np.concatenate([left, level.hists[sets] - left])
+    order = np.concatenate(
+        [block[goes_left].reshape(m, -1), block[~goes_left].reshape(m, -1)], axis=1
+    )
+    group_of = np.array(group_of)
+    exponents = level.pair_exp[picks.split]
+    return _Level(
+        order, hists.sum(axis=1), hists, np.concatenate([paths, paths]),
+        np.concatenate([group_of, group_of + num_groups]), np.concatenate([exponents, exponents]),
+    )
+
+
+def _checked_path(tested_on_path, num_attributes: int) -> frozenset[int]:
+    """The attribute indices of ``tested_on_path``, each checked."""
+    for a in tested_on_path:
+        if (
+            not isinstance(a, (int, np.integer))
+            or isinstance(a, (bool, np.bool_))
+            or not 0 <= a < num_attributes
+        ):
+            raise ValueError(
+                f"tested_on_path must hold attribute indices in [0, {num_attributes - 1}], "
+                f"got {a!r}"
+            )
+    return frozenset(int(a) for a in tested_on_path)
 
 
 def best_split(
@@ -239,15 +452,21 @@ def best_split(
 
     Admission requires positive gain, split information above the floor,
     and both children at least min_leaf_size. Ties break toward the lowest
-    attribute index, then the lowest threshold.
+    attribute index, then the lowest threshold. The scan is growth's, run
+    on a level of one row set. An attribute of ``tested_on_path`` is
+    weighed 1; each must be an int index of an attribute.
     """
     lams = _checked_exponents([lam], data, tc, min_leaf_size)
-    hist = np.bincount(data.labels, minlength=data.num_classes)
+    path = _checked_path(tested_on_path, data.num_attributes)
     scan = _scan_data(data)
-    splits = _splits(
-        scan, _presort(scan), hist, tc, lams, _weights(tc, lams), tested_on_path, min_leaf_size
+    level = _root_level(scan, data.num_classes, 1, path)
+    picks = _scan_level(scan, level, _weights(tc, lams), lams, tc, min_leaf_size)
+    if not picks.split[0]:
+        return None
+    return SplitCandidate(
+        int(picks.attribute[0]), float(picks.threshold[0]), float(picks.gain_ratio[0]),
+        float(picks.heuristic_value[0]),
     )
-    return None if splits is None else SplitCandidate(*splits[0][:4])
 
 
 @dataclass(eq=False, repr=False)
@@ -336,62 +555,69 @@ def build_trees(
     min_leaf_size: int = DEFAULT_MIN_LEAF,
 ) -> list[DecisionTree]:
     """Grow one tree per exponent of ``lams``, each finite and <= 0, in
-    one pass over the training rows.
+    one pass over the training rows per depth.
 
     Growth stops at pure subsets, at subsets too small to split into two
     children of min_leaf_size, and where no candidate has positive gain.
     Attributes may be re-tested deeper down with new thresholds. Each row
     set is scanned once for all the exponents whose trees reach it, and
     each exponent picks from the same products as best_split, so every
-    tree is the one that exponent grows alone. Exponents that pick the
-    same split grow together, depth first, left before right.
+    tree is the one that exponent grows alone.
+
+    Growth is breadth first, as in SLIQ (Mehta, Agrawal & Rissanen, EDBT
+    1996) and SPRINT (Shafer, Agrawal & Mehta, VLDB 1996): every row set of
+    one depth, for every group of exponents that reaches it, is scanned in
+    one pass over one block of presorted rows (_scan_level), and the rows
+    of every split are partitioned at once (_children). The rows are sorted
+    once per attribute, at the root. Every split is still the exact best
+    one; no values are binned.
+
+    An overflowing tc(a) ** lam raises ValueError where an exponent's tree
+    needs it: at the shallowest such depth, naming the first such exponent
+    of ``lams``, then its lowest such attribute.
 
     The trees share structure: wherever exponents grow equal subtrees from
     the same row set, they hold one subtree object, and exponents that are
     never told apart share one root. Treat the nodes as read-only. Callers
     such as run_competitions prune and cost each distinct root once.
-
-    The rows are sorted once per attribute, at the root. A child's sorted
-    rows are its parent's with the other child's taken out: a stable
-    partition of a stable sort is the stable sort of the child's rows,
-    ties in row order, so no node sorts again. A child's class counts are
-    the ones the parent's scan counted left of the split's boundary.
     """
     lams = _checked_exponents(lams, train, tc, min_leaf_size)
-    exponents, weights = np.array(lams), _weights(tc, lams)
+    weights = _weights(tc, lams)
     scan = _scan_data(train)
-    # each exponent's root hangs as the left child of a placeholder
+    level = _root_level(scan, train.num_classes, len(lams), frozenset())
+    # each exponent's root hangs as the left child of a placeholder; per
+    # pair of a level, the node its new node hangs on, and the side
     tops = [TreeNode(histogram=None) for _ in lams]
+    parents, sides = tops, ["left"] * len(lams)
     internal: list[TreeNode] = []  # every split node, parents before children
-    # (the rows sorted per attribute, their class counts, the exponents
-    # whose trees reach them, attributes tested above, those exponents'
-    # parent nodes, the side the new nodes hang on)
-    hist = np.bincount(train.labels, minlength=train.num_classes)
-    stack = [(_presort(scan), hist, np.arange(len(lams)), frozenset(), tops, "left")]
-    while stack:
-        order, hist, group, path, parents, side = stack.pop()
-        lams_here, weights_here = exponents[group], weights[group]
-        splits = _splits(scan, order, hist, tc, lams_here, weights_here, path, min_leaf_size)
-        if splits is None:
-            nodes = [TreeNode(histogram=hist, predicted_class=int(np.argmax(hist)))] * len(group)
-        else:
-            nodes = [TreeNode(hist, split.attribute, split.threshold) for split in splits]
-            internal += nodes
-            picks = [(split.attribute, split.threshold) for split in splits]
-            # pushed last to first, so each pick's left subtree grows first
-            for attribute, threshold in reversed(dict.fromkeys(picks)):
-                members = [i for i, pick in enumerate(picks) if pick == (attribute, threshold)]
-                # every row of the mask keeps the same rows, in its own order
-                goes_left = scan.columns[attribute][order] <= threshold
-                left = order[goes_left].reshape(len(order), -1)
-                right = order[~goes_left].reshape(len(order), -1)
-                left_hist = splits[members[0]].left_counts
-                right_hist = hist - left_hist
-                above, deeper = [nodes[i] for i in members], path | {attribute}
-                stack.append((right, right_hist, group[members], deeper, above, "right"))
-                stack.append((left, left_hist, group[members], deeper, above, "left"))
-        for parent, node in zip(parents, nodes):
+    while len(parents):
+        picks = _scan_level(scan, level, weights, lams, tc, min_leaf_size)
+        hists, majority = list(level.hists), level.hists.argmax(axis=1).tolist()
+        attributes, thresholds = picks.attribute.tolist(), picks.threshold.tolist()
+        candidates = picks.candidate.tolist()
+        leaves: dict[int, TreeNode] = {}  # one leaf per row set
+        nodes: list[TreeNode] = []  # one split node per pair that splits
+        groups: dict[int, int] = {}  # a split's candidate -> its group
+        firsts, group_of = [], []
+        pairs = zip(level.pair_set.tolist(), picks.split.tolist(), parents, sides)
+        for s, splits, parent, side in pairs:
+            if splits:
+                j = len(nodes)
+                node = TreeNode(hists[s], attributes[j], thresholds[j])
+                nodes.append(node)
+                group = groups.setdefault(candidates[j], len(groups))
+                if group == len(firsts):
+                    firsts.append(j)
+                group_of.append(group)
+            else:
+                node = leaves.get(s)
+                if node is None:
+                    node = leaves[s] = TreeNode(hists[s], predicted_class=majority[s])
             setattr(parent, side, node)
+        internal += nodes
+        if nodes:
+            level = _children(scan, level, picks, firsts, group_of)
+        parents, sides = nodes + nodes, ["left"] * len(nodes) + ["right"] * len(nodes)
     # Hash-consing, children first: a split node whose test and (already
     # shared) children equal an earlier one's is replaced by that node.
     # Leaves are one object per row set and exponent group already, so

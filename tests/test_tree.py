@@ -69,7 +69,7 @@ class TestEntropy:
         h = entropy(counts)
         assert 0.0 <= h <= math.log2(len(counts)) + 1e-12
 
-    @pytest.mark.parametrize("bad", [[], [0, 0], [-1, 2]])
+    @pytest.mark.parametrize("bad", [[], [0, 0], [-1, 2], [math.nan, 1], [math.inf, 1]])
     def test_rejects_degenerate(self, bad):
         with pytest.raises(ValueError):
             entropy(bad)
@@ -278,6 +278,18 @@ class TestBestSplit:
         with pytest.raises(ValueError, match="one test cost per attribute"):
             best_split(sample, TestCostVector((1, 2)), 0.0)
 
+    @pytest.mark.parametrize("path", [{-1}, {8}, {1.5}, {True}, {"0"}, {0, 8}])
+    def test_rejects_tested_attributes_out_of_range(self, sample, table_costs, path):
+        # -1 would weigh the last attribute 1, and 8 or 1.5 would not index one
+        with pytest.raises(ValueError, match="tested_on_path"):
+            best_split(sample, table_costs, -1.0, tested_on_path=frozenset(path))
+
+    def test_tested_attributes_may_be_numpy_ints(self, sample, table_costs):
+        path = frozenset(np.flatnonzero([False, True]).tolist() + [np.int64(3)])
+        assert best_split(sample, table_costs, -2.0, path) == best_split(
+            sample, table_costs, -2.0, frozenset({1, 3})
+        )
+
     def test_matches_plain_gain_ratio_oracle_at_zero(self):
         rng = np.random.default_rng(21)
         for _ in range(25):
@@ -323,6 +335,42 @@ class TestGridGrowth:
         constant = two_class([[5, 0], [5, 0], [5, 1], [5, 1]], [0, 0, 1, 1])
         tree = build_tree(constant, tc, -4.0, min_leaf_size=1)
         assert tree.root.attribute == 1
+
+    def test_overflow_names_the_shallowest_node(self):
+        # Attribute 0 costs 1; attributes 1 and 2 cost 1e-100, whose power
+        # overflows from lam = -3.25 down. The root splits on attribute 0 at
+        # 1.5 and its left child on attribute 0 again at 0.5. Two nodes then
+        # need an overflowing weight: the right child of the root (depth 1)
+        # for attribute 1, and the left child's right child (depth 2) for
+        # attribute 2. Growth goes depth by depth, so it names the first.
+        counts = {(0, 0, 0, 0): 1, (0, 0, 1, 1): 2, (1, 0, 0, 1): 3, (1, 0, 1, 0): 1,
+                  (1, 1, 1, 1): 1, (2, 0, 1, 0): 1, (2, 0, 1, 1): 1, (2, 1, 0, 0): 2,
+                  (2, 1, 0, 1): 3, (2, 1, 1, 0): 1, (2, 1, 1, 1): 2}
+        table = np.array([cell for cell, k in counts.items() for _ in range(k)], dtype=float)
+        ds = two_class(table[:, :3], table[:, 3].astype(int))
+        tc = TestCostVector((1.0, 1e-100, 1e-100))
+        a0 = ds.features[:, 0]
+        rows = {
+            "root": (np.arange(len(ds)), frozenset()),
+            "left": (np.flatnonzero(a0 <= 1.5), frozenset({0})),
+            "right": (np.flatnonzero(a0 > 1.5), frozenset({0})),
+            "left right": (np.flatnonzero((a0 > 0.5) & (a0 <= 1.5)), frozenset({0})),
+        }
+
+        def alone(name, lam):
+            positions, path = rows[name]
+            return best_split(ds.take(positions), tc, lam, path, min_leaf_size=2)
+
+        assert (alone("root", -4.0).attribute, alone("root", -4.0).threshold) == (0, 1.5)
+        assert (alone("left", -4.0).attribute, alone("left", -4.0).threshold) == (0, 0.5)
+        with pytest.raises(ValueError, match="attribute 1 to the power -4.0 overflows"):
+            alone("right", -4.0)
+        with pytest.raises(ValueError, match="attribute 2 to the power -4.0 overflows"):
+            alone("left right", -4.0)
+        # of the exponents that overflow there, the first of the grid
+        for lams, lam in [([-4.0], -4.0), (LambdaGrid().values(), -4.0), ([0.0, -3.5, -4.0], -3.5)]:
+            with pytest.raises(ValueError, match=f"attribute 1 to the power {lam!r} overflows"):
+                build_trees(ds, tc, lams, min_leaf_size=2)
 
     @pytest.mark.parametrize("lam", [math.nan, -math.inf])
     def test_exponent_must_be_finite(self, lam):
@@ -388,17 +436,23 @@ class TestGridGrowth:
         tc = TestCostVector(tuple(rng.uniform(0.5, 12.0, m)))
         lams = LambdaGrid().values()
         scanned = {}  # (rows, attributes tested above, exponent) -> growth's split
-        splits_of = tree_module._splits
+        scan_level = tree_module._scan_level
 
-        def recording(scan, order, hist, tc, lams_here, weights, path, min_leaf_size):
-            splits = splits_of(scan, order, hist, tc, lams_here, weights, path, min_leaf_size)
-            rows = tuple(np.sort(order[0]).tolist())
-            for i, lam in enumerate(lams_here.tolist()):
-                scanned[rows, path, lam] = None if splits is None else splits[i]
-            return splits
+        def recording(scan, level, weights, lams_all, tc, min_leaf_size):
+            picks = scan_level(scan, level, weights, lams_all, tc, min_leaf_size)
+            starts = np.cumsum(level.sizes) - level.sizes
+            fields = zip(picks.attribute.tolist(), picks.threshold.tolist(), picks.gain_ratio.tolist(),
+                         picks.heuristic_value.tolist())
+            for s, e, split in zip(level.pair_set, level.pair_exp, picks.split):
+                rows = tuple(np.sort(level.order[0, starts[s]:starts[s] + level.sizes[s]]).tolist())
+                path = frozenset(np.flatnonzero(level.paths[s]).tolist())
+                scanned[rows, path, lams_all[e]] = (
+                    tree_module.SplitCandidate(*next(fields)) if split else None
+                )
+            return picks
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(tree_module, "_splits", recording)
+            patch.setattr(tree_module, "_scan_level", recording)
             trees = build_trees(ds, tc, lams, min_leaf)
         for lam, tree in zip(lams, trees):
             stack = [(tree.root, np.arange(n), frozenset())]
