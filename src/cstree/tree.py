@@ -139,16 +139,15 @@ def _class_sums(table: np.ndarray, counts: list) -> np.ndarray:
     return total
 
 
-def _entropies(hists: np.ndarray) -> np.ndarray:
+def _entropies(hists: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """entropy of every row of a (sets, classes) block of class counts,
-    to the last bit: below 8 classes the zero counts add +-0.0 terms to a
-    left-to-right sum, which leaves it unchanged."""
+    whose sums are ``sizes``, to the last bit: below 8 classes the zero
+    counts add 0.0 terms to a left-to-right sum, which leaves it unchanged."""
     if hists.shape[1] >= 8:
         return np.array([entropy(hist) for hist in hists])
-    counts = hists.T.astype(np.float64)
-    probs = counts / counts.sum(axis=0)
+    probs = hists.T / sizes
     # log2(1) = 0 stands in for log2(0) at a zero count; 0.0 - x is -x + 0.0
-    return 0.0 - (probs * np.log2(probs + (counts == 0))).sum(axis=0)
+    return 0.0 - (probs * np.log2(probs + (probs == 0.0))).sum(axis=0)
 
 
 def _threshold(lower: float, upper: float) -> float:
@@ -187,20 +186,21 @@ def _weights(tc: TestCostVector, lams) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(len(lams), len(tc))
 
 
-# Boundaries whose gain ratios are computed together: on a level of
-# 20,000 rows, arrays of every boundary at once would hold tens of MB.
-_SLICE = 1 << 14
+# Boundaries whose gain ratios are computed together. Arrays of every
+# boundary of a 20,000-row level at once would hold tens of MB; slices of
+# this size keep the scan's memory to a few MB, and run no slower.
+_SLICE = 1 << 12
 
 
 class _Columns(NamedTuple):
-    """Per column of a level's block: its row set, and what a boundary
-    right after it makes: the children's sizes and the split information."""
+    """Per column of a level's block: its row set, and the children's
+    sizes a boundary right after it makes; and per row set, the log2 of
+    its size, by scalar math.log2."""
 
     set_of: np.ndarray
     left_size: np.ndarray
     right_size: np.ndarray
-    set_size: np.ndarray  # as floats
-    split_info: np.ndarray
+    log2_sizes: np.ndarray
 
 
 def _gain_ratios(scan, columns: _Columns, prefixes, hists, entropies, cells):
@@ -208,29 +208,33 @@ def _gain_ratios(scan, columns: _Columns, prefixes, hists, entropies, cells):
     their gain ratios."""
     position = cells % len(columns.set_of)
     sets = columns.set_of.take(position)
-    left_sizes, right_sizes = columns.left_size.take(position), columns.right_size.take(position)
+    left_sizes = columns.left_size.take(position)
     # each class's rows left of the boundary: prefix counts at the boundary
     # less those before its row set's first column; class 0 holds the rest
     ends = cells + 1
     starts = ends - left_sizes
     left = [prefix.take(ends) - prefix.take(starts) for prefix in prefixes]
-    left.insert(0, left_sizes - sum(left))
-    # a child's entropy is log2(T) - sum(c * log2 c) / T over its counts c
-    n_left, n_right = left_sizes.astype(np.float64), right_sizes.astype(np.float64)
-    h_left = scan.log2.take(left_sizes) - _class_sums(scan.xlog2x, left) / n_left
-    right = [hist.take(sets) - count for hist, count in zip(hists.T, left)]
-    h_right = scan.log2.take(right_sizes) - _class_sums(scan.xlog2x, right) / n_right
-    # gain = entropy(parent) - (n_left * h_left + n_right * h_right) / n
-    h_left *= n_left
-    h_right *= n_right
-    h_left += h_right
-    h_left /= columns.set_size.take(position)
+    left.insert(0, left_sizes - sum(left[1:], left[0]))
+    # the left children, then the right children, side by side
+    sizes = np.concatenate([left_sizes, columns.right_size.take(position)])
+    counts = [np.concatenate([count, hist.take(sets) - count]) for hist, count in zip(hists.T, left)]
+    n_child = sizes.astype(np.float64)
+    # a child's entropy is log2(T) - sum(c * log2 c) / T over its counts c,
+    # and gain = entropy(parent) - (n_left * h_left + n_right * h_right) / n
+    weighted = scan.log2.take(sizes) - _class_sums(scan.xlog2x, counts) / n_child
+    weighted *= n_child
+    boundaries = len(cells)
+    n = n_child[:boundaries] + n_child[boundaries:]
+    weighted = weighted[:boundaries] + weighted[boundaries:]
+    weighted /= n
+    # the gain is max(gain, 0), but only a positive gain is admitted
     gains = entropies.take(sets)
-    gains -= h_left
-    np.maximum(gains, 0.0, out=gains)
-    split_infos = columns.split_info.take(position)
+    gains -= weighted
+    # split information log2(n) - (n_left * log2 n_left + n_right * log2 n_right) / n
+    terms = scan.xlog2x.take(sizes)
+    split_infos = columns.log2_sizes.take(sets) - (terms[:boundaries] + terms[boundaries:]) / n
     admissible = ((gains > 0.0) & (split_infos >= MIN_SPLIT_INFO)).nonzero()[0]
-    return cells.take(admissible), gains.take(admissible) / split_infos.take(admissible)
+    return cells.take(admissible), (gains / split_infos).take(admissible)
 
 
 def _candidates(scan: _ScanData, level: _Level, min_leaf_size: int):
@@ -248,21 +252,16 @@ def _candidates(scan: _ScanData, level: _Level, min_leaf_size: int):
     """
     order, sizes, hists = level.order, level.sizes, level.hists
     m, n = order.shape
-    opened = (sizes >= 2 * min_leaf_size) & ((hists > 0).sum(axis=1) > 1)
+    opened = (sizes >= 2 * min_leaf_size) & (hists.max(axis=1) < sizes)
     if not opened.any():
         return np.zeros(0, np.intp), np.zeros(0), None
     # per column: its row set, and what a boundary right after it makes
     set_of = np.repeat(np.arange(len(sizes)), sizes)
-    left_size = np.arange(1, n + 1) - (sizes.cumsum() - sizes)[set_of]
-    set_size = sizes[set_of]
-    right_size = set_size - left_size
-    set_size = set_size.astype(np.float64)
-    log2_sizes = np.array([math.log2(size) for size in sizes.tolist()])
-    columns = _Columns(
-        set_of, left_size, right_size, set_size,
-        log2_sizes[set_of] - (scan.xlog2x.take(left_size) + scan.xlog2x.take(right_size)) / set_size,
-    )
-    fits = (left_size >= min_leaf_size) & (right_size >= min_leaf_size) & opened[set_of]
+    left_size = np.arange(1, n + 1) - (sizes.cumsum() - sizes).take(set_of)
+    right_size = sizes.take(set_of) - left_size
+    columns = _Columns(set_of, left_size, right_size,
+                       np.array([math.log2(size) for size in sizes.tolist()]))
+    fits = (left_size >= min_leaf_size) & (right_size >= min_leaf_size) & opened.take(set_of)
     values = scan.values.take(order + scan.offsets)
     boundary = np.zeros((m, n), dtype=bool)
     np.logical_and(values[:, :-1] < values[:, 1:], fits[:-1], out=boundary[:, :-1])
@@ -274,7 +273,7 @@ def _candidates(scan: _ScanData, level: _Level, min_leaf_size: int):
     for rows in scan.of_class[1:] if len(cells) else ():
         prefixes.append(np.zeros(m * n + 1, np.int64))
         rows.take(order).cumsum(out=prefixes[-1][1:])
-    entropies = _entropies(hists)
+    entropies = _entropies(hists, sizes)
     # the admissible boundaries' cells, kept in place, and their ratios
     ratios, kept = np.empty(len(cells)), 0
     for i in range(0, len(cells), _SLICE):
@@ -307,12 +306,8 @@ def _first_maxima(ratios, attributes, weights, sets=None, pair_sets=None):
         sets, pair_sets = np.zeros_like(attributes), np.zeros(len(weights), np.intp)
     num_sets = int(pair_sets.max()) + 1
     keys = attributes * num_sets + sets  # ascending, one value per block
-    edges = np.empty(len(keys), dtype=bool)
-    edges[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=edges[1:])
-    starts = edges.nonzero()[0]
     maxima = np.full(weights.shape[1] * num_sets, -np.inf)
-    maxima[keys.take(starts)] = np.maximum.reduceat(ratios, starts)
+    np.maximum.at(maxima, keys, ratios)
     maxima = maxima.reshape(-1, num_sets).T[pair_sets]
     # a zero weight (from underflow) times the -inf of an empty block is nan
     scores = np.full(maxima.shape, -np.inf)
@@ -404,7 +399,8 @@ def _children(scan: _ScanData, level: _Level, picks: _Picks, firsts, group_of) -
     spans = level.sizes[sets]
     offsets = spans.cumsum() - spans
     starts = (level.sizes.cumsum() - level.sizes)[sets]
-    block = level.order[:, np.repeat(starts - offsets, spans) + np.arange(offsets[-1] + spans[-1])]
+    block = level.order.take(np.repeat(starts - offsets, spans) + np.arange(offsets[-1] + spans[-1]),
+                             axis=1)
     goes_left = (scan.values.take(block + np.repeat(attributes * rows, spans))
                  <= np.repeat(picks.threshold[firsts], spans))
     # each split's class counts left, from its rows in attribute 0's order
@@ -585,51 +581,47 @@ def build_trees(
     weights = _weights(tc, lams)
     scan = _scan_data(train)
     level = _root_level(scan, train.num_classes, len(lams), frozenset())
-    # each exponent's root hangs as the left child of a placeholder; per
-    # pair of a level, the node its new node hangs on, and the side
-    tops = [TreeNode(histogram=None) for _ in lams]
-    parents, sides = tops, ["left"] * len(lams)
-    internal: list[TreeNode] = []  # every split node, parents before children
-    while len(parents):
+    grown = []  # per depth: each pair's row set, the row sets' class counts, the picks
+    while True:
         picks = _scan_level(scan, level, weights, lams, tc, min_leaf_size)
-        hists, majority = list(level.hists), level.hists.argmax(axis=1).tolist()
-        attributes, thresholds = picks.attribute.tolist(), picks.threshold.tolist()
+        grown.append((level.pair_set, level.hists, picks))
+        if not len(picks.candidate):
+            break
+        # the pairs that picked the same split form one group of exponents
+        firsts: dict[int, int] = {}  # a split's candidate -> its first pair
         candidates = picks.candidate.tolist()
-        leaves: dict[int, TreeNode] = {}  # one leaf per row set
-        nodes: list[TreeNode] = []  # one split node per pair that splits
-        groups: dict[int, int] = {}  # a split's candidate -> its group
-        firsts, group_of = [], []
-        pairs = zip(level.pair_set.tolist(), picks.split.tolist(), parents, sides)
-        for s, splits, parent, side in pairs:
-            if splits:
-                j = len(nodes)
-                node = TreeNode(hists[s], attributes[j], thresholds[j])
-                nodes.append(node)
-                group = groups.setdefault(candidates[j], len(groups))
-                if group == len(firsts):
-                    firsts.append(j)
-                group_of.append(group)
+        for j, candidate in enumerate(candidates):
+            firsts.setdefault(candidate, j)
+        group = {candidate: g for g, candidate in enumerate(firsts)}
+        level = _children(scan, level, picks, list(firsts.values()),
+                          [group[candidate] for candidate in candidates])
+    # The nodes, deepest first. A split node is interned by its test and
+    # its (already interned) children, so equal subtrees grown from the
+    # same row set are one object (hash-consing); a leaf is one object per
+    # row set, and so per exponent group, already. The q-th split of a
+    # depth has its children at pairs q and splits + q of the next.
+    unique: dict[tuple, TreeNode] = {}
+    below: list[TreeNode] = []
+    for pair_set, hists, picks in reversed(grown):
+        histograms, majority = list(hists), hists.argmax(axis=1).tolist()
+        attributes, thresholds = picks.attribute.tolist(), picks.threshold.tolist()
+        splits, j = len(attributes), 0
+        leaves: dict[int, TreeNode] = {}
+        nodes = []
+        for s, split in zip(pair_set.tolist(), picks.split.tolist()):
+            if split:
+                key = (attributes[j], thresholds[j], below[j], below[splits + j])
+                node = unique.get(key)
+                if node is None:
+                    node = unique[key] = TreeNode(histograms[s], *key)
+                j += 1
             else:
                 node = leaves.get(s)
                 if node is None:
-                    node = leaves[s] = TreeNode(hists[s], predicted_class=majority[s])
-            setattr(parent, side, node)
-        internal += nodes
-        if nodes:
-            level = _children(scan, level, picks, firsts, group_of)
-        parents, sides = nodes + nodes, ["left"] * len(nodes) + ["right"] * len(nodes)
-    # Hash-consing, children first: a split node whose test and (already
-    # shared) children equal an earlier one's is replaced by that node.
-    # Leaves are one object per row set and exponent group already, so
-    # comparing children by identity finds every equal subtree.
-    unique: dict[tuple, TreeNode] = {}
-    shared: dict[TreeNode, TreeNode] = {}  # each split node -> the one kept
-    for node in reversed(internal):
-        node.left = shared.get(node.left, node.left)
-        node.right = shared.get(node.right, node.right)
-        key = (node.attribute, node.threshold, node.left, node.right)
-        shared[node] = unique.setdefault(key, node)
-    return [DecisionTree(shared.get(top.left, top.left), lam, tc) for top, lam in zip(tops, lams)]
+                    node = leaves[s] = TreeNode(histograms[s], predicted_class=majority[s])
+            nodes.append(node)
+        below = nodes
+    return [DecisionTree(root, lam, tc) for root, lam in zip(below, lams)]
 
 
 def build_tree(
