@@ -116,10 +116,10 @@ class _Level(NamedTuple):
     pair_exp: np.ndarray  # (pairs,) each pair's exponent, an index into the grid
 
 
-def _root_level(scan: _ScanData, num_classes: int, exponents: int, path) -> _Level:
+def _root_level(scan: _ScanData, exponents: int, path) -> _Level:
     """The one row set of every training row, reached by every exponent,
     with the attributes of ``path`` tested above it."""
-    hists = np.bincount(scan.labels, minlength=num_classes)[None, :]
+    hists = np.bincount(scan.labels, minlength=len(scan.of_class))[None, :]
     paths = np.zeros((1, len(scan.columns)), dtype=bool)
     paths[0, sorted(path)] = True
     return _Level(_presort(scan), hists.sum(axis=1), hists, paths,
@@ -227,7 +227,7 @@ def _gain_ratios(scan, columns: _Columns, prefixes, hists, entropies, cells):
     n = n_child[:boundaries] + n_child[boundaries:]
     weighted = weighted[:boundaries] + weighted[boundaries:]
     weighted /= n
-    # the gain is max(gain, 0), but only a positive gain is admitted
+    # only a positive gain is admitted, so the gain's floor at 0 is left out
     gains = entropies.take(sets)
     gains -= weighted
     # split information log2(n) - (n_left * log2 n_left + n_right * log2 n_right) / n
@@ -267,10 +267,12 @@ def _candidates(scan: _ScanData, level: _Level, min_leaf_size: int):
     np.logical_and(values[:, :-1] < values[:, 1:], fits[:-1], out=boundary[:, :-1])
     del values
     cells = boundary.ravel().nonzero()[0]
+    if not len(cells):
+        return cells, np.zeros(0), set_of
     # the class counts of every prefix of the block, of each class but 0:
     # integers, so the differences the scan takes of them are exact
     prefixes = []
-    for rows in scan.of_class[1:] if len(cells) else ():
+    for rows in scan.of_class[1:]:
         prefixes.append(np.zeros(m * n + 1, np.int64))
         rows.take(order).cumsum(out=prefixes[-1][1:])
     entropies = _entropies(hists, sizes)
@@ -286,15 +288,15 @@ def _candidates(scan: _ScanData, level: _Level, min_leaf_size: int):
     return cells[:kept], ratios[:kept], set_of
 
 
-def _first_maxima(ratios, attributes, weights, sets=None, pair_sets=None):
+def _first_maxima(ratios, attributes, weights, sets, pair_sets):
     """Per row of ``weights``, the index of the first maximum of
     ratios * weights[row, attributes] over the candidates of the row's row
     set, and that maximum; -inf for a row whose row set has none.
 
-    ``sets`` holds each candidate's row set and ``pair_sets`` each row's;
-    by default all belong to one. The candidates come attribute-major, row
-    sets ascending within an attribute and positions within a row set, so
-    ties go to the lowest attribute, then the lowest threshold.
+    ``sets`` holds each candidate's row set and ``pair_sets`` each row's.
+    The candidates come attribute-major, row sets ascending within an
+    attribute and positions within a row set, so ties go to the lowest
+    attribute, then the lowest threshold.
 
     A weight is positive, so it keeps the order of the ratios it
     multiplies: a row's maximum is the largest of its (attribute, row set)
@@ -302,8 +304,6 @@ def _first_maxima(ratios, attributes, weights, sets=None, pair_sets=None):
     smaller ratio's product equal that maximum, so the pick is the first
     candidate of the winning block whose product equals it.
     """
-    if sets is None:
-        sets, pair_sets = np.zeros_like(attributes), np.zeros(len(weights), np.intp)
     num_sets = int(pair_sets.max()) + 1
     keys = attributes * num_sets + sets  # ascending, one value per block
     maxima = np.full(weights.shape[1] * num_sets, -np.inf)
@@ -369,9 +369,9 @@ def _scan_level(scan, level: _Level, weights, lams, tc, min_leaf_size) -> _Picks
     split = tops > -np.inf
     picks = picks[split]
     cells, a = cells.take(picks), attributes.take(picks)
-    order = order.ravel()
-    lower = scan.values.take(order.take(cells) + a * rows)
-    upper = scan.values.take(order.take(cells + 1) + a * rows)
+    order, offsets = order.ravel(), a * rows
+    lower = scan.values.take(order.take(cells) + offsets)
+    upper = scan.values.take(order.take(cells + 1) + offsets)
     thresholds = [_threshold(low, high) for low, high in zip(lower.tolist(), upper.tolist())]
     return _Picks(split, picks, a, np.array(thresholds), ratios.take(picks), tops[split])
 
@@ -455,7 +455,7 @@ def best_split(
     lams = _checked_exponents([lam], data, tc, min_leaf_size)
     path = _checked_path(tested_on_path, data.num_attributes)
     scan = _scan_data(data)
-    level = _root_level(scan, data.num_classes, 1, path)
+    level = _root_level(scan, 1, path)
     picks = _scan_level(scan, level, _weights(tc, lams), lams, tc, min_leaf_size)
     if not picks.split[0]:
         return None
@@ -580,7 +580,7 @@ def build_trees(
     lams = _checked_exponents(lams, train, tc, min_leaf_size)
     weights = _weights(tc, lams)
     scan = _scan_data(train)
-    level = _root_level(scan, train.num_classes, len(lams), frozenset())
+    level = _root_level(scan, len(lams), frozenset())
     grown = []  # per depth: each pair's row set, the row sets' class counts, the picks
     while True:
         picks = _scan_level(scan, level, weights, lams, tc, min_leaf_size)
