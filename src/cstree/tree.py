@@ -46,7 +46,10 @@ def entropy(histogram) -> float:
     counts = np.asarray(histogram, dtype=np.float64)
     if counts.ndim != 1 or counts.size == 0 or not (np.isfinite(counts) & (counts >= 0)).all():
         raise ValueError("histogram must be a 1-D vector of finite nonnegative counts")
-    total = counts.sum()
+    with np.errstate(over="ignore"):
+        total = counts.sum()
+    if not math.isfinite(total):
+        raise ValueError("histogram counts must sum to a finite number")
     if total <= 0:
         raise ValueError("histogram must count at least one instance")
     probs = counts[counts > 0] / total
@@ -217,7 +220,9 @@ def _gain_ratios(scan, columns: _Columns, prefixes, hists, entropies, cells):
     left.insert(0, left_sizes - sum(left[1:], left[0]))
     # the left children, then the right children, side by side
     sizes = np.concatenate([left_sizes, columns.right_size.take(position)])
-    counts = [np.concatenate([count, hist.take(sets) - count]) for hist, count in zip(hists.T, left)]
+    counts = [
+        np.concatenate([count, hist.take(sets) - count]) for hist, count in zip(hists.T, left)
+    ]
     n_child = sizes.astype(np.float64)
     # a child's entropy is log2(T) - sum(c * log2 c) / T over its counts c,
     # and gain = entropy(parent) - (n_left * h_left + n_right * h_right) / n
@@ -399,8 +404,8 @@ def _children(scan: _ScanData, level: _Level, picks: _Picks, firsts, group_of) -
     spans = level.sizes[sets]
     offsets = spans.cumsum() - spans
     starts = (level.sizes.cumsum() - level.sizes)[sets]
-    block = level.order.take(np.repeat(starts - offsets, spans) + np.arange(offsets[-1] + spans[-1]),
-                             axis=1)
+    columns = np.repeat(starts - offsets, spans) + np.arange(offsets[-1] + spans[-1])
+    block = level.order.take(columns, axis=1)
     goes_left = (scan.values.take(block + np.repeat(attributes * rows, spans))
                  <= np.repeat(picks.threshold[firsts], spans))
     # each split's class counts left, from its rows in attribute 0's order

@@ -69,7 +69,9 @@ class TestEntropy:
         h = entropy(counts)
         assert 0.0 <= h <= math.log2(len(counts)) + 1e-12
 
-    @pytest.mark.parametrize("bad", [[], [0, 0], [-1, 2], [math.nan, 1], [math.inf, 1]])
+    @pytest.mark.parametrize(
+        "bad", [[], [0, 0], [-1, 2], [math.nan, 1], [math.inf, 1], [1e308, 1e308]]
+    )
     def test_rejects_degenerate(self, bad):
         with pytest.raises(ValueError):
             entropy(bad)
@@ -443,8 +445,8 @@ class TestGridGrowth:
         def recording(scan, level, weights, lams_all, tc, min_leaf_size):
             picks = scan_level(scan, level, weights, lams_all, tc, min_leaf_size)
             starts = np.cumsum(level.sizes) - level.sizes
-            fields = zip(picks.attribute.tolist(), picks.threshold.tolist(), picks.gain_ratio.tolist(),
-                         picks.heuristic_value.tolist())
+            fields = zip(picks.attribute.tolist(), picks.threshold.tolist(),
+                         picks.gain_ratio.tolist(), picks.heuristic_value.tolist())
             for s, e, split in zip(level.pair_set, level.pair_exp, picks.split):
                 rows = tuple(np.sort(level.order[0, starts[s]:starts[s] + level.sizes[s]]).tolist())
                 path = frozenset(np.flatnonzero(level.paths[s]).tolist())
