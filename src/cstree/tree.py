@@ -246,14 +246,14 @@ def _candidates(scan: _ScanData, level: _Level, min_leaf_size: int):
     """Every admissible boundary of a level, and its gain ratio, from one
     pass over the block of all its row sets and attributes.
 
-    A row set is open when it holds rows of more than one class. A boundary
-    lies between distinct consecutive sorted values of one open row set,
-    and is admissible when both children hold at least min_leaf_size rows,
-    the gain is positive and the split information is at least
-    MIN_SPLIT_INFO. Returns (cells, ratios, set_of): each boundary as the
-    cell a * n + p of the (attributes, n) block whose column p it follows,
-    attribute-major and columns ascending, its gain ratio, and the row set
-    of every column.
+    A row set is open when it holds at least 2 * min_leaf_size rows of more
+    than one class. A boundary lies between distinct consecutive sorted
+    values of one open row set, and is admissible when both children hold
+    at least min_leaf_size rows, the gain is positive and the split
+    information is at least MIN_SPLIT_INFO. Returns (cells, ratios,
+    set_of): each boundary as the cell a * n + p of the (attributes, n)
+    block whose column p it follows, attribute-major and columns
+    ascending, its gain ratio, and the row set of every column.
     """
     order, sizes, hists = level.order, level.sizes, level.hists
     m, n = order.shape
@@ -409,10 +409,10 @@ def _children(scan: _ScanData, level: _Level, picks: _Picks, firsts, group_of) -
     goes_left = (scan.values.take(block + np.repeat(attributes * rows, spans))
                  <= np.repeat(picks.threshold[firsts], spans))
     # each split's class counts left, from its rows in attribute 0's order
-    left = goes_left[0]
+    went_left = goes_left[0]
     left = np.bincount(
-        np.repeat(np.arange(0, num_groups * num_classes, num_classes), spans)[left]
-        + scan.labels.take(block[0][left]),
+        np.repeat(np.arange(0, num_groups * num_classes, num_classes), spans)[went_left]
+        + scan.labels.take(block[0][went_left]),
         minlength=num_groups * num_classes,
     ).reshape(num_groups, num_classes)
     hists = np.concatenate([left, level.hists[sets] - left])
