@@ -583,6 +583,8 @@ def build_trees(
     such as run_competitions prune and cost each distinct root once.
     """
     lams = _checked_exponents(lams, train, tc, min_leaf_size)
+    if not lams:
+        return []
     weights = _weights(tc, lams)
     scan = _scan_data(train)
     level = _root_level(scan, len(lams), frozenset())

@@ -376,6 +376,10 @@ class TestGridGrowth:
             with pytest.raises(ValueError, match=f"attribute 1 to the power {lam!r} overflows"):
                 build_trees(ds, tc, lams, min_leaf_size=2)
 
+    def test_no_exponents_grow_no_trees(self):
+        rows = two_class([[0], [1], [2], [3]], [0, 0, 1, 1])
+        assert build_trees(rows, TestCostVector((1.0,)), []) == []
+
     @pytest.mark.parametrize("lam", [math.nan, -math.inf])
     def test_exponent_must_be_finite(self, lam):
         rows = two_class([[0], [1], [2], [3]], [0, 0, 1, 1])
