@@ -133,7 +133,9 @@ def _class_sums(table: np.ndarray, counts: list) -> np.ndarray:
     """Per position, the sum over the classes of ``table`` at each class's
     count there, as numpy sums a (positions, classes) block of the terms:
     left to right below 8 classes, and pairwise, by numpy's own reduction,
-    from 8 on."""
+    from 8 on. Below 8 the loop gives the block's bits without building
+    the block, and is kept for speed: stacking instead made a pima-sweep
+    operation about 11% slower (CHANGES.md, level-wise growth)."""
     if len(counts) >= 8:
         return table.take(np.stack(counts, axis=1)).sum(axis=1)
     total = table.take(counts[0])
@@ -250,16 +252,15 @@ def _candidates(scan: _ScanData, level: _Level, min_leaf_size: int):
     than one class. A boundary lies between distinct consecutive sorted
     values of one open row set, and is admissible when both children hold
     at least min_leaf_size rows, the gain is positive and the split
-    information is at least MIN_SPLIT_INFO. Returns (cells, ratios,
-    set_of): each boundary as the cell a * n + p of the (attributes, n)
-    block whose column p it follows, attribute-major and columns
-    ascending, its gain ratio, and the row set of every column.
+    information is at least MIN_SPLIT_INFO. Returns (cells, ratios):
+    each boundary as the cell a * n + p of the (attributes, n) block whose
+    column p it follows, ascending, and its gain ratio.
     """
     order, sizes, hists = level.order, level.sizes, level.hists
     m, n = order.shape
     opened = (sizes >= 2 * min_leaf_size) & (hists.max(axis=1) < sizes)
     if not opened.any():
-        return np.zeros(0, np.intp), np.zeros(0), None
+        return np.zeros(0, np.intp), np.zeros(0)
     # per column: its row set, and what a boundary right after it makes
     set_of = np.repeat(np.arange(len(sizes)), sizes)
     left_size = np.arange(1, n + 1) - (sizes.cumsum() - sizes).take(set_of)
@@ -273,12 +274,15 @@ def _candidates(scan: _ScanData, level: _Level, min_leaf_size: int):
     del values
     cells = boundary.ravel().nonzero()[0]
     if not len(cells):
-        return cells, np.zeros(0), set_of
+        return cells, np.zeros(0)
     # the class counts of every prefix of the block, of each class but 0:
-    # integers, so the differences the scan takes of them are exact
+    # integers, so the differences the scan takes of them are exact. In
+    # int32 they wrap past 2**31 on a block that large, but a difference,
+    # the count of one row set, is below 2**31 and so still exact; int64
+    # would double the largest arrays of a wide level.
     prefixes = []
     for rows in scan.of_class[1:]:
-        prefixes.append(np.zeros(m * n + 1, np.int64))
+        prefixes.append(np.zeros(m * n + 1, np.int32))
         rows.take(order).cumsum(out=prefixes[-1][1:])
     entropies = _entropies(hists, sizes)
     # the admissible boundaries' cells, kept in place, and their ratios
@@ -290,18 +294,20 @@ def _candidates(scan: _ScanData, level: _Level, min_leaf_size: int):
         cells[kept:kept + len(admissible)] = admissible
         ratios[kept:kept + len(admissible)] = gain_ratios
         kept += len(admissible)
-    return cells[:kept], ratios[:kept], set_of
+    return cells[:kept], ratios[:kept]
 
 
-def _first_maxima(ratios, attributes, weights, sets, pair_sets):
+def _first_maxima(ratios, bounds, weights, pair_sets):
     """Per row of ``weights``, the index of the first maximum of
-    ratios * weights[row, attributes] over the candidates of the row's row
+    ratios * weights[row, attribute] over the candidates of the row's row
     set, and that maximum; -inf for a row whose row set has none.
 
-    ``sets`` holds each candidate's row set and ``pair_sets`` each row's.
-    The candidates come attribute-major, row sets ascending within an
-    attribute and positions within a row set, so ties go to the lowest
-    attribute, then the lowest threshold.
+    ``pair_sets`` holds each row's row set. The candidates come in
+    (attribute, row set) blocks, attribute-major, row sets ascending within
+    an attribute and positions within a row set, so ties go to the lowest
+    attribute, then the lowest threshold. Block a * sets + s starts at
+    candidate ``bounds[a * sets + s]``, and the last one ends at
+    ``bounds[-1]``.
 
     A weight is positive, so it keeps the order of the ratios it
     multiplies: a row's maximum is the largest of its (attribute, row set)
@@ -309,19 +315,19 @@ def _first_maxima(ratios, attributes, weights, sets, pair_sets):
     smaller ratio's product equal that maximum, so the pick is the first
     candidate of the winning block whose product equals it.
     """
-    num_sets = int(pair_sets.max()) + 1
-    keys = attributes * num_sets + sets  # ascending, one value per block
-    maxima = np.full(weights.shape[1] * num_sets, -np.inf)
-    np.maximum.at(maxima, keys, ratios)
+    num_sets = (len(bounds) - 1) // weights.shape[1]
+    filled = bounds[:-1] < bounds[1:]
+    maxima = np.full(len(filled), -np.inf)
+    maxima[filled] = np.maximum.reduceat(ratios, bounds[:-1][filled])
     maxima = maxima.reshape(-1, num_sets).T[pair_sets]
     # a zero weight (from underflow) times the -inf of an empty block is nan
     scores = np.full(maxima.shape, -np.inf)
     np.multiply(maxima, weights, out=scores, where=maxima > -np.inf)
     wins, tops = scores.argmax(axis=1), scores.max(axis=1)
     # every row's winning block, laid end to end (none for a row without one)
-    blocks = wins * num_sets + pair_sets
-    firsts = keys.searchsorted(blocks)
-    sizes = keys.searchsorted(blocks, "right") - firsts
+    winners = wins * num_sets + pair_sets
+    firsts = bounds.take(winners)
+    sizes = bounds.take(winners + 1) - firsts
     offsets = sizes.cumsum() - sizes
     members = np.repeat(firsts - offsets, sizes) + np.arange(offsets[-1] + sizes[-1])
     products = ratios.take(members) * np.repeat(weights[np.arange(len(wins)), wins], sizes)
@@ -352,17 +358,20 @@ def _scan_level(scan, level: _Level, weights, lams, tc, min_leaf_size) -> _Picks
     message names the first exponent, then the lowest attribute.
     """
     order, sizes, _, paths, pair_set, pair_exp = level
-    cells, ratios, set_of = _candidates(scan, level, min_leaf_size)
+    cells, ratios = _candidates(scan, level, min_leaf_size)
     if not len(cells):
         empty = np.zeros(0)
         return _Picks(np.zeros(len(pair_set), dtype=bool), *[empty] * 5)
     (m, n), rows = order.shape, len(scan.labels)
-    attributes, sets = cells // n, set_of.take(cells % n)
+    # the candidates of (attribute, row set) block i, attribute-major, are
+    # bounds[i] up to bounds[i + 1]: a block ends at a * n plus the end of
+    # its row set's columns, where the next one starts
+    ends = np.arange(0, m * n, n)[:, None] + sizes.cumsum()
+    bounds = cells.searchsorted(np.concatenate(([0], ends.ravel())))
     pair_weights = weights[pair_exp]
     pair_weights[paths[pair_set]] = 1.0
     if np.isinf(pair_weights).any():
-        used = np.zeros((len(sizes), m), dtype=bool)
-        used[sets, attributes] = True
+        used = (bounds[:-1] < bounds[1:]).reshape(m, -1).T
         pairs, columns = (np.isinf(pair_weights) & used[pair_set]).nonzero()
         if len(pairs):
             first = (pair_exp[pairs] * m + columns).argmin()
@@ -370,10 +379,11 @@ def _scan_level(scan, level: _Level, weights, lams, tc, min_leaf_size) -> _Picks
             raise ValueError(
                 f"test cost {tc.cost(a)!r} of attribute {a} to the power {lam!r} overflows a float"
             )
-    picks, tops = _first_maxima(ratios, attributes, pair_weights, sets, pair_set)
+    picks, tops = _first_maxima(ratios, bounds, pair_weights, pair_set)
     split = tops > -np.inf
     picks = picks[split]
-    cells, a = cells.take(picks), attributes.take(picks)
+    cells = cells.take(picks)
+    a = cells // n
     order, offsets = order.ravel(), a * rows
     lower = scan.values.take(order.take(cells) + offsets)
     upper = scan.values.take(order.take(cells + 1) + offsets)

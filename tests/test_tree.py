@@ -319,8 +319,8 @@ class TestGridGrowth:
         assert int(np.argmax(ratios)) == 2
         # the pick is the first maximum of the products, not of the ratios;
         # weight 1 (a re-tested attribute) keeps the true maximum
-        one_set = np.zeros(4, dtype=np.intp)  # one attribute and one row set
-        picks, scores = _first_maxima(ratios, one_set, np.array([[weight], [1.0]]), one_set,
+        # one attribute and one row set: one block of all four candidates
+        picks, scores = _first_maxima(ratios, np.array([0, 4]), np.array([[weight], [1.0]]),
                                       np.zeros(2, dtype=np.intp))
         assert picks.tolist() == [0, 2]
         assert scores.tolist() == [top * weight, top]
