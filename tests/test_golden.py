@@ -34,10 +34,11 @@ import numpy as np
 import pytest
 
 from cstree.cli import main
-from cstree.competition import LambdaGrid
-from cstree.costs import TestCostVector, load_cost_file
+from cstree.competition import LambdaGrid, run_competitions
+from cstree.costs import MisclassificationMatrix, TestCostVector, load_cost_file
 from cstree.data import Dataset
-from cstree.data import load_csv
+from cstree.data import load_csv, split_train_test
+from cstree.experiment import trial_rows
 from cstree.tree import build_tree, build_trees, serialize
 
 ASSETS = Path(__file__).parent / "assets"
@@ -228,6 +229,51 @@ def _deep_digest(name: str) -> tuple[str, int]:
 @pytest.mark.parametrize("name", sorted(DEEP_DIGESTS))
 def test_deep_trees_match_recorded_digests(name):
     assert _deep_digest(name) == DEEP_DIGESTS[name]
+
+
+# case -> sha256 of each competition output, one item per line: the pruned
+# trees' serialized text, the reprs of the training CostBreakdowns (unpruned
+# competition first) and the reprs of the trial rows
+COMPETITION_DIGESTS = {
+    "rows460_k2_grid": {
+        "pruned_trees": "60508b73a61daee2e350b125ef63659b305037fcf94a3ac4167363504b340da0",
+        "train_costs": "8ad6402cc5420311a7acc0294eb94dfb409e840558b7f2c0031002deaead34f1",
+        "trial_rows": "4a7a75806ba2b016708166d6cb150364c79b85ef2da04cc52ded2af16c796c24",
+    },
+    "rows400_k11_grid": {
+        "pruned_trees": "b34ec973ead65eb578adaf5966ebf7287ddba2481da2c286ccb6f9ae7e6ab612",
+        "train_costs": "2ccb3976539b96eb11f902800776ff7ebc8f64977aba845c4a7d0cf8007199e7",
+        "trial_rows": "8bb02259a0cb3ad9cd6bb578f4bebdeaafbae170e1695db25de5d88aa044394d",
+    },
+}
+
+
+def _competition_digests(name: str) -> dict[str, str]:
+    """Both competitions of a DEEP_DIGESTS grid table, split 60/40, with
+    fractional penalties so that the totals show the order of additions."""
+    rows, tc, _ = _deep_case(name)
+    rng = np.random.default_rng(53)
+    penalties = rng.uniform(0.1, 100.0, size=(rows.num_classes,) * 2)
+    np.fill_diagonal(penalties, 0.0)
+    mc = MisclassificationMatrix(tuple(tuple(row) for row in penalties))
+    train, test = split_train_test(rows, 0.6, np.random.default_rng(54))
+    sweeps = run_competitions(train, tc, mc, LambdaGrid(), (False, True))
+    texts = {
+        "pruned_trees": [serialize(record.tree) for record in sweeps[True].records],
+        "train_costs": [
+            repr(record.train_cost) for flag in (False, True) for record in sweeps[flag].records
+        ],
+        "trial_rows": [repr(row) for row in trial_rows(0, sweeps, test, tc, mc)],
+    }
+    return {
+        key: hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        for key, lines in texts.items()
+    }
+
+
+@pytest.mark.parametrize("name", sorted(COMPETITION_DIGESTS))
+def test_competitions_match_recorded_digests(name):
+    assert _competition_digests(name) == COMPETITION_DIGESTS[name]
 
 
 def _write_synthetic_table(path: Path) -> None:
