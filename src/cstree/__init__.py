@@ -26,6 +26,7 @@ from .data import Dataset, load_csv, split_train_test
 from .evaluation import (
     CostBreakdown,
     average_cost,
+    average_costs,
     average_reduction_ratio,
     reduction_ratio,
 )
@@ -41,7 +42,7 @@ from .experiment import (
     write_summary_json,
     write_trace_csv,
 )
-from .pruning import PruneTraceEntry, post_prune
+from .pruning import PruneTraceEntry, post_prune, prune_trees
 from .tree import (
     DecisionTree,
     SplitCandidate,
@@ -76,6 +77,7 @@ __all__ = [
     "TreeNode",
     "TrialReportRow",
     "average_cost",
+    "average_costs",
     "average_reduction_ratio",
     "best_split",
     "build_tree",
@@ -88,6 +90,7 @@ __all__ = [
     "load_cost_file",
     "load_csv",
     "post_prune",
+    "prune_trees",
     "reduction_ratio",
     "report_summary",
     "resolve_costs",

@@ -15,7 +15,7 @@ from .costs import (
     two_class_matrix,
 )
 from .data import load_csv, split_train_test
-from .evaluation import CostBreakdown, average_cost
+from .evaluation import CostBreakdown, average_cost, average_costs
 from .experiment import (
     PRUNE_FLAGS,
     ExperimentConfig,
@@ -269,9 +269,9 @@ def cmd_prune(args) -> None:
     if len(tc) != dataset.num_attributes:
         raise ValueError("test cost count and attribute count differ")
     check_training_rows(tree, dataset)
-    initial = average_cost(tree, dataset, tc, mc)
     pruned_tree, entries = post_prune(tree, tc, mc, args.prune_on_tie)
-    final = average_cost(pruned_tree, dataset, tc, mc)
+    # one routing for both trees: the pruned tree's rows are all cut already
+    initial, final = average_costs([tree, pruned_tree], dataset, tc, mc)
     for line in _mapping_lines(dataset):
         print(line)
     print(f"initial average cost {initial.average} over {initial.count} rows")

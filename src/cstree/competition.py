@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .costs import MisclassificationMatrix, TestCostVector
 from .data import Dataset
-from .evaluation import CostBreakdown, average_cost
-from .pruning import post_prune
+from .evaluation import CostBreakdown, average_costs
+from .pruning import prune_trees
 from .tree import DEFAULT_MIN_LEAF, DecisionTree, build_trees
 
 __all__ = [
@@ -26,6 +26,9 @@ __all__ = [
 ]
 
 _GRID_TOLERANCE = 1e-9
+# Each exponent grows a tree, so a grid much longer than this could only
+# run out of memory or time; a step far below the span is a typo.
+MAX_GRID_EXPONENTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -46,6 +49,10 @@ class LambdaGrid:
         if self.end > 0:
             raise ValueError("exponents must be zero or negative")
         span = self.end - self.start
+        if span / self.step + 1 > MAX_GRID_EXPONENTS:
+            raise ValueError(
+                f"the exponent grid may hold at most {MAX_GRID_EXPONENTS} exponents"
+            )
         count = round(span / self.step)
         if abs(count * self.step - span) > _GRID_TOLERANCE:
             raise ValueError("end - start must be a whole number of steps")
@@ -90,25 +97,31 @@ def run_competitions(
 ) -> dict[bool, SweepResult]:
     """One competition per prune flag, keyed by the flag.
 
-    The whole grid grows in one build_trees pass, and the pruned
-    competition prunes the same trees. Exponents whose trees are one
-    object share its pruning and its training cost, each computed once;
-    every record still holds its own DecisionTree with its own exponent."""
+    The whole grid grows in one build_trees pass. The distinct grown trees
+    are pruned in one prune_trees pass, and every distinct tree either
+    competition holds is costed on the training rows in one average_costs
+    call. Every record still holds its own DecisionTree with its own
+    exponent."""
     grid = grid or LambdaGrid()
     lams = grid.values()
+    grown = build_trees(train, tc, lams, min_leaf_size)
+    firsts = {}  # root node, which hashes by identity -> its first tree
+    for tree in grown:
+        firsts.setdefault(tree.root, tree)
+    finals = {False: list(firsts.values())}
+    if True in prune_flags:
+        finals[True] = prune_trees(firsts.values(), tc, mc, prune_on_tie)
+    # per flag: grown root -> the root that competes
+    roots = {flag: dict(zip(firsts, (t.root for t in finals[flag]))) for flag in prune_flags}
+    costed = {t.root: t for flag in prune_flags for t in finals[flag]}
+    costs = dict(zip(costed, average_costs(costed.values(), train, tc, mc)))
     records = {flag: [] for flag in prune_flags}
-    pruned, costs = {}, {}  # keyed by root node, which hashes by identity
-    for lam, grown in zip(lams, build_trees(train, tc, lams, min_leaf_size)):
+    for lam, tree in zip(lams, grown):
         for flag in prune_flags:
-            root = grown.root
-            if flag:
-                if root not in pruned:
-                    pruned[root] = post_prune(grown, tc, mc, prune_on_tie)[0].root
-                root = pruned[root]
-            tree = DecisionTree(root, grown.lambda_used, grown.tc_used)
-            if root not in costs:
-                costs[root] = average_cost(tree, train, tc, mc)
-            records[flag].append(LambdaRecord(lam=lam, tree=tree, train_cost=costs[root]))
+            root = roots[flag][tree.root]
+            records[flag].append(
+                LambdaRecord(lam, DecisionTree(root, lam, tc), train_cost=costs[root])
+            )
     results = {}
     for flag, flag_records in records.items():
         winner = flag_records[0]

@@ -13,6 +13,7 @@ from .tree import DecisionTree, route
 __all__ = [
     "CostBreakdown",
     "average_cost",
+    "average_costs",
     "reduction_ratio",
     "average_reduction_ratio",
 ]
@@ -45,38 +46,64 @@ def _total_in_order(per_row: np.ndarray) -> float:
     return float(np.cumsum(per_row)[-1]) + 0.0
 
 
+def average_costs(
+    trees,
+    data: Dataset,
+    tc: TestCostVector,
+    mc: MisclassificationMatrix,
+) -> list[CostBreakdown]:
+    """The mean cost of classifying each row, per tree of ``trees``: the
+    distinct tests on its path plus the penalty of its predicted against
+    its true class.
+
+    The rows are routed down all the trees at once by tree.route, which
+    cuts the rows of each chain of tests once however many trees share
+    it. Each tree then fills its own per-row arrays, and their costs are
+    added in row order."""
+    if mc.num_classes != data.num_classes:
+        raise ValueError("matrix classes and dataset classes differ")
+    trees = list(trees)
+    for tree in trees:
+        if data.num_attributes != len(tree.tc_used):
+            raise ValueError(
+                f"expected a vector of {len(tree.tc_used)} features, "
+                f"got shape {(data.num_attributes,)}"
+            )
+    penalty_table = np.array(mc.rows)
+    path_costs: dict[frozenset, float] = {}
+    breakdowns = []
+    for leaves in route(trees, data):
+        nodes, paths, reached = zip(*leaves)
+        sizes = np.array([len(rows) for rows in reached])
+        predicted = np.array([leaf.predicted_class for leaf in nodes])
+        used = predicted[sizes > 0]
+        if ((used < 0) | (used >= mc.num_classes)).any():
+            raise ValueError(f"class indices must lie in [0, {mc.num_classes - 1}]")
+        for path in paths:
+            if path not in path_costs:
+                path_costs[path] = total_test_cost(tc, path)
+        tests = np.array([path_costs[path] for path in paths])
+        # each row's leaf, in row order
+        leaf_of = np.empty(len(data), dtype=np.intp)
+        leaf_of[np.concatenate(reached)] = np.repeat(np.arange(len(leaves)), sizes)
+        penalties = penalty_table[data.labels, predicted[leaf_of]]
+        breakdowns.append(
+            CostBreakdown.from_totals(
+                _total_in_order(tests[leaf_of]), _total_in_order(penalties), len(data)
+            )
+        )
+    return breakdowns
+
+
 def average_cost(
     tree: DecisionTree,
     data: Dataset,
     tc: TestCostVector,
     mc: MisclassificationMatrix,
 ) -> CostBreakdown:
-    """Mean cost of classifying each row: distinct tests on its path plus
-    the penalty of its predicted against its true class.
-
-    The rows are routed down the tree as whole arrays by tree.route, and
-    each row's costs are added in row order.
-    """
-    if mc.num_classes != data.num_classes:
-        raise ValueError("matrix classes and dataset classes differ")
-    if data.num_attributes != len(tree.tc_used):
-        raise ValueError(
-            f"expected a vector of {len(tree.tc_used)} features, "
-            f"got shape {(data.num_attributes,)}"
-        )
-    tests = np.empty(len(data))
-    predicted = np.empty(len(data), dtype=np.int64)
-    for leaf, path, rows in route(tree, data):
-        if not rows.size:
-            continue
-        if not 0 <= leaf.predicted_class < mc.num_classes:
-            raise ValueError(f"class indices must lie in [0, {mc.num_classes - 1}]")
-        tests[rows] = total_test_cost(tc, path)
-        predicted[rows] = leaf.predicted_class
-    penalties = np.array(mc.rows)[data.labels, predicted]
-    return CostBreakdown.from_totals(
-        _total_in_order(tests), _total_in_order(penalties), len(data)
-    )
+    """Mean cost of classifying each row of ``data`` with one tree; see
+    average_costs."""
+    return average_costs([tree], data, tc, mc)[0]
 
 
 def reduction_ratio(average_before: float, average_after: float) -> float:

@@ -28,9 +28,9 @@ from .costs import (
     two_class_matrix,
 )
 from .data import Dataset, load_csv, split_train_test
-from .evaluation import average_cost, average_reduction_ratio, reduction_ratio
+from .evaluation import average_costs, average_reduction_ratio, reduction_ratio
 from .pruning import PruneTraceEntry
-from .tree import DEFAULT_MIN_LEAF
+from .tree import DEFAULT_MIN_LEAF, node_counts
 
 __all__ = [
     "ExperimentConfig",
@@ -199,9 +199,18 @@ def trial_rows(
     """Rows of one trial's competitions (run_competitions' result), by
     exponent and then unpruned before pruned, with held-out costs. A pruned
     row carries its reduction ratio when the unpruned competition ran too.
-    Records that share a root are costed and counted once."""
+    Every distinct tree is costed on the test rows in one average_costs
+    call, and counted once."""
     rows = []
-    measured = {}  # root node -> (held-out average, node count)
+    trees = {}  # root node -> a record's tree that holds it
+    for sweep in sweeps.values():
+        for record in sweep.records:
+            trees.setdefault(record.tree.root, record.tree)
+    held_out = average_costs(trees.values(), test, tc, mc)
+    measured = {  # root node -> (held-out average, node count)
+        root: (cost.average, nodes)
+        for root, cost, nodes in zip(trees, held_out, node_counts(list(trees)))
+    }
     for records in zip(*(sweep.records for sweep in sweeps.values())):
         by_flag = dict(zip(sweeps, records))
         for flag, record in by_flag.items():
@@ -211,11 +220,7 @@ def trial_rows(
                 after = record.train_cost.average
                 # a tree that charges nothing has nothing to reduce
                 saved = reduction_ratio(before, after) if before > 0 else 0.0
-            root = record.tree.root
-            if root not in measured:
-                test_cost = average_cost(record.tree, test, tc, mc)
-                measured[root] = test_cost.average, record.tree.node_count()
-            test_average, nodes = measured[root]
+            test_average, nodes = measured[record.tree.root]
             rows.append(
                 TrialReportRow(
                     trial=trial,

@@ -9,6 +9,7 @@ nothing new and the score degenerates to the plain gain ratio.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -547,7 +548,7 @@ class DecisionTree:
     tc_used: TestCostVector
 
     def node_count(self) -> int:
-        return sum(1 for _ in walk(self.root))
+        return node_counts([self.root])[0]
 
     def leaf_count(self) -> int:
         return sum(node.is_leaf for node, _ in walk(self.root))
@@ -589,8 +590,9 @@ def build_trees(
 
     The trees share structure: wherever exponents grow equal subtrees from
     the same row set, they hold one subtree object, and exponents that are
-    never told apart share one root. Treat the nodes as read-only. Callers
-    such as run_competitions prune and cost each distinct root once.
+    never told apart share one root. Treat the nodes as read-only.
+    pruning.prune_trees decides each shared node once per path, and route
+    cuts the rows of each shared chain of tests once.
     """
     lams = _checked_exponents(lams, train, tc, min_leaf_size)
     if not lams:
@@ -664,19 +666,84 @@ def classify(tree: DecisionTree, instance) -> tuple[int, frozenset[int]]:
     return int(node.predicted_class), frozenset(tested)
 
 
-def route(tree: DecisionTree, data: Dataset):
-    """Each leaf in walk order as (leaf, attributes on its path, positions
-    in ``data`` of the rows that reach it). Rows go down as whole arrays,
-    one mask per internal node; classify is the same walk for one row."""
+def _split_rows(rows: np.ndarray, values: np.ndarray, threshold: float) -> list[np.ndarray]:
+    """The positions of ``rows`` whose value is <= threshold, and the rest."""
+    goes_left = values[rows] <= threshold
+    return [rows[goes_left], rows[~goes_left]]
+
+
+def route(trees, data: Dataset):
+    """For each of ``trees`` in turn, its leaves in walk order as (leaf,
+    attributes on its path, positions in ``data`` of the rows that reach
+    it).
+
+    The chain of tests from the root alone decides which rows reach a
+    node: (parent chain, attribute, threshold, side), interned to a small
+    integer. A first walk over all the trees interns every chain. Then
+    each chain's rows are cut once, as whole arrays, however many trees
+    and nodes reach it. So the nodes of different trees above the point
+    where they differ, and a pruned leaf and the node it replaced, share
+    one array. The rows of a chain that no leaf ends at are dropped after
+    its last cut, so one tree alone holds no more than about twice the
+    rows of ``data`` at once, at any depth. classify is the same walk for
+    one row."""
+    paths = [frozenset()]  # per chain: the attributes tested on it
+    uses = [0]  # per chain: the cuts from it, plus one for good if a leaf ends there
+    chains: dict[tuple, int] = {}  # (chain, attribute, threshold) -> its left chain
+    walked = []  # per tree: its leaves as (leaf, chain) and the cuts met so far
+    for tree in trees:
+        leaves = []
+        stack = [(tree.root, 0)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            node, chain = pop()
+            attribute = node.attribute
+            if attribute is None:  # a leaf
+                leaves.append((node, chain))
+                uses[chain] += 1
+                continue
+            key = (chain, attribute, node.threshold)
+            left = chains.get(key)
+            if left is None:
+                # the right chain is always the next id after the left one
+                left = chains[key] = len(paths)
+                uses[chain] += 1
+                uses += (0, 0)
+                paths += [paths[chain] | {attribute}] * 2
+            push((node.left, left))
+            push((node.right, left + 1))
+        walked.append((leaves, len(chains)))
     columns = data.features.T
-    reaching = [np.arange(len(data))]  # in step with the walk's own stack
-    for node, path in walk(tree.root):
-        rows = reaching.pop()
-        if node.is_leaf:
-            yield node, path, rows
-            continue
-        goes_left = columns[node.attribute][rows] <= node.threshold
-        reaching += [rows[goes_left], rows[~goes_left]]
+    rows = {0: np.arange(len(data))}
+    cuts, made = iter(chains), 0  # the q-th cut met makes chains 2q + 1 and 2q + 2
+    for leaves, met in walked:
+        for chain, attribute, threshold in itertools.islice(cuts, met - made):
+            uses[chain] -= 1
+            cut = rows[chain] if uses[chain] else rows.pop(chain)
+            made += 1
+            rows[2 * made - 1], rows[2 * made] = _split_rows(cut, columns[attribute], threshold)
+        yield [(leaf, paths[chain], rows[chain]) for leaf, chain in leaves]
+
+
+def node_counts(roots) -> list[int]:
+    """The number of nodes under each of ``roots``. A subtree that several
+    roots or paths share is counted from its children once."""
+    counts: dict[TreeNode, int] = {}
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node in counts:
+                continue
+            if node.is_leaf:
+                counts[node] = 1
+                continue
+            left, right = counts.get(node.left), counts.get(node.right)
+            if left is None or right is None:
+                stack += [node, node.left, node.right]  # count the children first
+            else:
+                counts[node] = 1 + left + right
+    return [counts[root] for root in roots]
 
 
 def structural_equal(a: DecisionTree, b: DecisionTree) -> bool:
@@ -818,7 +885,15 @@ def check_training_rows(tree: DecisionTree, data: Dataset) -> None:
         )
     if data.num_attributes != len(tree.tc_used):
         raise ValueError("data and tree disagree on the number of attributes")
-    for leaf, _, rows in route(tree, data):
-        counts = np.bincount(data.labels[rows], minlength=data.num_classes)
-        if list(counts) != list(leaf.histogram):
-            raise ValueError("routed rows do not reproduce the stored leaf histograms")
+    nodes, _, reached = zip(*next(route([tree], data)))
+    stored = [leaf.histogram for leaf in nodes]
+    k = data.num_classes
+    if any(len(histogram) != k for histogram in stored):
+        raise ValueError("routed rows do not reproduce the stored leaf histograms")
+    # one count of (leaf, class) cells over every routed row at once
+    leaf_of = np.repeat(np.arange(len(nodes)), [len(rows) for rows in reached])
+    cells = np.bincount(
+        leaf_of * k + data.labels[np.concatenate(reached)], minlength=len(nodes) * k
+    )
+    if not np.array_equal(cells.reshape(len(nodes), k), np.array(stored)):
+        raise ValueError("routed rows do not reproduce the stored leaf histograms")

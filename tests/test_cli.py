@@ -1,6 +1,7 @@
 """End-to-end command line behavior, run in process."""
 
 import json
+import time
 
 import pytest
 
@@ -514,6 +515,15 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv, "--data", str(sample_path))
         assert code == 1 and out == ""
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("step", ["1e-9", "1e-300"])
+    def test_oversized_exponent_grid(self, capsys, sample_path, step):
+        # 4e9 and about 4e300 exponents: refused before any is listed
+        started = time.perf_counter()
+        code, out, err = run(capsys, "sweep", "--lambda-step", step, "--data", str(sample_path))
+        assert time.perf_counter() - started < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "at most 10000 exponents" in err
 
     @pytest.mark.parametrize(
         "command, flag",

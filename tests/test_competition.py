@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from cstree import competition as competition_module
-from cstree import experiment as experiment_module
+from cstree import pruning as pruning_module
+from cstree import tree as tree_module
 from cstree.competition import LambdaGrid, run_competition, run_competitions
 from cstree.costs import (
     CostDistributionSpec,
@@ -142,41 +142,66 @@ class TestWithTestCosts:
             assert (row.reduction is None) == (not row.pruned)
 
 
+def _positions(root):
+    """Every position under ``root`` as (node, attributes tested above it,
+    its chain of (attribute, threshold, side) tests from the root)."""
+    stack = [(root, frozenset(), ())]
+    while stack:
+        node, path, chain = stack.pop()
+        yield node, path, chain
+        if not node.is_leaf:
+            deeper = path | {node.attribute}
+            test = (node.attribute, node.threshold)
+            stack += [(node.left, deeper, chain + (test + (0,),)),
+                      (node.right, deeper, chain + (test + (1,),))]
+
+
 class TestSharedTrees:
-    """Exponents whose grown trees are one object are pruned, costed and
-    counted once, and every report figure stays what a loop over the
+    """A node that several exponents' trees share is pruned once and its
+    rows are cut once, and every report figure stays what a loop over the
     exponents gives."""
 
-    def test_prunes_and_costs_each_distinct_tree_once(self, sample, example_mc, monkeypatch):
-        calls = {"post_prune": [], "average_cost": [], "held_out": []}
+    def test_decides_and_routes_each_shared_node_once(self, sample, example_mc, monkeypatch):
+        decided, splits = [], []
 
-        def counting(name, module, function):
-            def counted(tree, *args):
-                calls[name].append(tree.root)
-                return function(tree, *args)
+        def deciding(node, path, *args):
+            decided.append((node, path))
+            return decide(node, path, *args)
 
-            monkeypatch.setattr(module, function.__name__, counted)
+        def splitting(*args):
+            splits.append(args)
+            return split_rows(*args)
 
-        counting("post_prune", competition_module, post_prune)
-        counting("average_cost", competition_module, average_cost)
-        counting("held_out", experiment_module, average_cost)
-        lams = LambdaGrid().values()
+        decide, split_rows = pruning_module._decide, tree_module._split_rows
+        monkeypatch.setattr(pruning_module, "_decide", deciding)
+        monkeypatch.setattr(tree_module, "_split_rows", splitting)
         test = support.partition(sample, 1, 125.5)[1]
-        grown_total = 0
+        visits = 0
         for seed in range(8):
             tc = generate_test_costs(CostDistributionSpec(), 8, np.random.default_rng(seed))
-            distinct = len({tree.root for tree in build_trees(sample, tc, lams)})
-            grown_total += distinct
-            for found in calls.values():
-                found.clear()
+            decided.clear()
+            splits.clear()
             sweeps = run_competitions(sample, tc, example_mc, prune_flags=(False, True))
+            trained = len(splits)
             trial_rows(seed, sweeps, test, tc, example_mc)
-            # one prune per distinct grown tree, one cost per (tree, flag)
-            assert len(calls["post_prune"]) == len(set(calls["post_prune"])) == distinct
-            assert len(calls["average_cost"]) == len(set(calls["average_cost"])) == 2 * distinct
-            assert len(calls["held_out"]) == len(set(calls["held_out"])) == 2 * distinct
-        # the sample's 17 exponents grow only a few distinct trees
-        assert grown_total < 8 * len(lams) / 2
+            grown = {record.tree.root for record in sweeps[False].records}
+            # every position of every distinct grown tree, as (node, path)
+            positions = [(node, path) for root in grown for node, path, _ in _positions(root)]
+            visits += len(positions)
+            # one decision per distinct (node, path), however many trees hold it
+            assert len(decided) == len(set(decided)) == len(set(positions))
+            # one cut per distinct chain of tests, the node's own test
+            # included, on each dataset
+            chains = {
+                chain + ((node.attribute, node.threshold),)
+                for sweep in sweeps.values()
+                for record in sweep.records
+                for node, _, chain in _positions(record.tree.root)
+                if not node.is_leaf
+            }
+            assert trained == len(splits) - trained == len(chains)
+        # the sample's 17 exponents share most of their nodes
+        assert len(decided) < visits / 2
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(

@@ -7,13 +7,16 @@ import oracles
 import support
 from cstree.costs import MisclassificationMatrix, TestCostVector, two_class_matrix
 from cstree.data import Dataset
-from cstree.evaluation import average_cost
-from cstree.pruning import PruneTraceEntry, post_prune
+from cstree.evaluation import average_cost, average_costs
+from cstree.pruning import PruneTraceEntry, post_prune, prune_trees
 from cstree.tree import (
+    DecisionTree,
+    TreeNode,
     build_tree,
     deserialize,
     serialize,
     structural_equal,
+    walk,
 )
 
 
@@ -244,3 +247,87 @@ class TestPostPrune:
             assert pruned.node_count() <= tree.node_count()
             if any(e.pruned for e in trace):
                 assert pruned.node_count() < tree.node_count()
+
+
+def _unshared(root: TreeNode) -> TreeNode:
+    """A copy of the tree under ``root`` with one new node per position."""
+    built: list[TreeNode] = []
+    for node, _ in reversed(list(walk(root))):
+        if node.is_leaf:
+            built.append(TreeNode(node.histogram.copy(), predicted_class=node.predicted_class))
+        else:
+            right, left = built.pop(), built.pop()
+            built.append(
+                TreeNode(node.histogram.copy(), node.attribute, node.threshold, left, right)
+            )
+    return built.pop()
+
+
+def _random_graph(rng, k: int, m: int) -> list[TreeNode]:
+    """Three roots over a pool of nodes whose children are drawn from the
+    nodes built before them, so nodes recur within and across the trees."""
+    pool = []
+    for _ in range(4):
+        histogram = rng.integers(0, 6, size=k)
+        histogram[rng.integers(k)] += 1
+        pool.append(TreeNode(histogram, predicted_class=int(np.argmax(histogram))))
+    for _ in range(10):
+        left, right = (pool[i] for i in rng.integers(len(pool), size=2))
+        threshold = float(rng.integers(0, 6)) + 0.5
+        pool.append(
+            TreeNode(left.histogram + right.histogram, int(rng.integers(m)), threshold, left, right)
+        )
+    return pool[-3:]
+
+
+class TestSharedNodes:
+    """Nodes held by several trees, or under several paths of one tree,
+    prune and cost exactly as copies that share nothing."""
+
+    def test_shared_nodes_match_unshared_copies(self):
+        rng = np.random.default_rng(41)
+        # by hand: S sits under paths {0} and {0, 1} of one tree, twice
+        # under path {0} of another, and under path {1} of a third
+        hist = np.array
+        s = TreeNode(hist([3, 2]), 2, 1.5, TreeNode(hist([3, 0]), predicted_class=0),
+                     TreeNode(hist([0, 2]), predicted_class=1))
+        leaf = TreeNode(hist([1, 4]), predicted_class=1)
+        by_hand = [
+            TreeNode(hist([7, 8]), 0, 2.5, s, TreeNode(hist([4, 6]), 1, 3.5, s, leaf)),
+            TreeNode(hist([6, 4]), 0, 2.5, s, s),
+            TreeNode(hist([4, 6]), 1, 0.5, s, leaf),
+        ]
+        cases = [(by_hand, 2, 3)]
+        for _ in range(30):
+            k, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+            cases.append((_random_graph(rng, k, m), k, m))
+        recurring = 0
+        for roots, k, m in cases:
+            features = rng.integers(0, 6, size=(40, m)).astype(np.float64)
+            labels = rng.integers(0, k, size=40)
+            labels[:k] = np.arange(k)
+            rows = Dataset.from_arrays(features, labels, class_names=tuple(map(str, range(k))))
+            # fractional costs, whose sums show the order of additions
+            tc = TestCostVector(tuple(rng.uniform(0.1, 10.0, m)))
+            penalties = rng.uniform(0.1, 100.0, size=(k, k))
+            np.fill_diagonal(penalties, 0.0)
+            mc = MisclassificationMatrix(tuple(tuple(row) for row in penalties))
+            on_tie = bool(rng.integers(2))
+            trees = [DecisionTree(root, -1.0, tc) for root in roots]
+            copies = [DecisionTree(_unshared(root), -1.0, tc) for root in roots]
+            pruned_copies = []
+            for tree, copy in zip(trees, copies):
+                pruned, trace = post_prune(tree, tc, mc, on_tie)
+                pruned_copy, trace_copy = post_prune(copy, tc, mc, on_tie)
+                assert serialize(pruned) == serialize(pruned_copy)
+                assert trace == trace_copy
+                assert average_cost(tree, rows, tc, mc) == average_cost(copy, rows, tc, mc)
+                pruned_copies.append(pruned_copy)
+            together = prune_trees(trees, tc, mc, on_tie)
+            assert list(map(serialize, together)) == list(map(serialize, pruned_copies))
+            assert average_costs(trees + together, rows, tc, mc) == [
+                average_cost(tree, rows, tc, mc) for tree in copies + pruned_copies
+            ]
+            positions = [node for root in roots for node, _ in walk(root)]
+            recurring += len(positions) - len(set(positions))
+        assert recurring > 100
