@@ -886,14 +886,12 @@ def check_training_rows(tree: DecisionTree, data: Dataset) -> None:
     if data.num_attributes != len(tree.tc_used):
         raise ValueError("data and tree disagree on the number of attributes")
     nodes, _, reached = zip(*next(route([tree], data)))
-    stored = [leaf.histogram for leaf in nodes]
-    k = data.num_classes
-    if any(len(histogram) != k for histogram in stored):
-        raise ValueError("routed rows do not reproduce the stored leaf histograms")
+    stored, k = [leaf.histogram for leaf in nodes], data.num_classes
     # one count of (leaf, class) cells over every routed row at once
     leaf_of = np.repeat(np.arange(len(nodes)), [len(rows) for rows in reached])
-    cells = np.bincount(
-        leaf_of * k + data.labels[np.concatenate(reached)], minlength=len(nodes) * k
-    )
-    if not np.array_equal(cells.reshape(len(nodes), k), np.array(stored)):
+    cells = leaf_of * k + data.labels[np.concatenate(reached)]
+    cells = np.bincount(cells, minlength=len(nodes) * k).reshape(len(nodes), k)
+    if any(len(histogram) != k for histogram in stored) or not np.array_equal(
+        cells, np.array(stored)
+    ):
         raise ValueError("routed rows do not reproduce the stored leaf histograms")
