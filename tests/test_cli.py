@@ -516,9 +516,10 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error:") and message in err
 
-    @pytest.mark.parametrize("step", ["1e-9", "1e-300"])
+    @pytest.mark.parametrize("step", ["1e-9", "1e-300", "5e-324"])
     def test_oversized_exponent_grid(self, capsys, sample_path, step):
-        # 4e9 and about 4e300 exponents: refused before any is listed
+        # 4e9, about 4e300 and an overflowing count of exponents: refused
+        # before any is listed
         started = time.perf_counter()
         code, out, err = run(capsys, "sweep", "--lambda-step", step, "--data", str(sample_path))
         assert time.perf_counter() - started < 1.0
