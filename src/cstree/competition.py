@@ -119,9 +119,8 @@ def run_competitions(
     for lam, tree in zip(lams, grown):
         for flag in prune_flags:
             root = roots[flag][tree.root]
-            records[flag].append(
-                LambdaRecord(lam, DecisionTree(root, lam, tc), train_cost=costs[root])
-            )
+            competing = DecisionTree(root, tree.lambda_used, tree.tc_used)
+            records[flag].append(LambdaRecord(lam=lam, tree=competing, train_cost=costs[root]))
     results = {}
     for flag, flag_records in records.items():
         winner = flag_records[0]

@@ -96,11 +96,7 @@ def _decide(node: TreeNode, path: frozenset, below: dict, per_row: float, mc, pr
 
 def _decide_all(roots, tc: TestCostVector, mc: MisclassificationMatrix, prune_on_tie: bool):
     """The decision of every (node, attributes tested above it) under
-    ``roots``, each taken once, children first and left before right.
-
-    A node's subtree and its path decide all of its figures, so a subtree
-    that several roots share, on the same path, is decided once, and the
-    pruned trees share its pruned node too."""
+    ``roots``, each taken once, children first and left before right."""
     decided: dict[tuple, tuple] = {}
     per_row: dict[frozenset, float] = {}  # path -> the tests each row on it pays
     for root in roots:
