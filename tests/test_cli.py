@@ -581,3 +581,131 @@ class TestExitCodes:
         code, _, err = run(capsys, "experiment", "--data", str(sample_path), "--trials", "1")
         assert code == 2
         assert "unexpected failure" in err
+
+
+def _leaf(cls, *counts):
+    return {"leaf": cls, "histogram": list(counts)}
+
+
+_THREE_CLASSES = {
+    "root.right.left": _leaf(0, 2, 0, 0), "root.right.right": _leaf(1, 0, 7, 0),
+    "root.left.left": _leaf(0, 9, 0, 0), "root.left.right.left": _leaf(0, 4, 0, 0),
+    "root.left.right.right": _leaf(1, 0, 2, 0),
+}
+
+# Trees of the prune fixture with two faults each (or a fault and rows
+# that do not fit), given as {node position: replacement node, or keys to
+# update}, plus extra flags, and the exit code and stderr of `prune` on
+# the sample when these were recorded. A tree is read parents first,
+# right subtrees before left, so "root.right.*" is read before "root.left".
+PRUNE_FAULTS = {
+    "wrong majority, then a bad key": (
+        {"root.right.right": _leaf(0, 0, 7), "root.left.left": {**_leaf(0, 9, 0), "extra": 1}},
+        [], "leaf class must be the majority of its histogram",
+    ),
+    "bad key, then wrong majority": (
+        {"root.right.right": {**_leaf(1, 0, 7), "extra": 1}, "root.left.left": _leaf(1, 9, 0)},
+        [], "node must have exactly the keys {leaf, histogram} or "
+        "{attribute, threshold, left, right}",
+    ),
+    "wrong majority, then an attribute out of range": (
+        {"root.right.left": _leaf(1, 2, 0), "root.left": {"attribute": 99}},
+        [], "leaf class must be the majority of its histogram",
+    ),
+    "wrong majority, then a bad threshold": (
+        {"root.right.left": _leaf(1, 2, 0), "root.left": {"threshold": "x"}},
+        [], "leaf class must be the majority of its histogram",
+    ),
+    "wrong majority, then a node that is not an object": (
+        {"root.right.right": _leaf(0, 0, 7), "root.left.right.left": 5},
+        [], "leaf class must be the majority of its histogram",
+    ),
+    "wrong majority, then a histogram of another width": (
+        {"root.right.right": _leaf(0, 0, 7), "root.left.left": _leaf(0, 9, 0, 0)},
+        [], "leaf class must be the majority of its histogram",
+    ),
+    "wrong majority, then a leaf class out of range": (
+        {"root.right.right": _leaf(0, 0, 7), "root.left.left": _leaf(5, 9, 0)},
+        [], "leaf class must be the majority of its histogram",
+    ),
+    "wrong majority, then a negative count": (
+        {"root.right.right": _leaf(0, 0, 7), "root.left.left": _leaf(0, -1, 0)},
+        [], "leaf class must be the majority of its histogram",
+    ),
+    "wrong majority, then an overflowing leaf": (
+        {"root.right.right": _leaf(0, 0, 7), "root.left.left": _leaf(0, 2**63 - 1, 1)},
+        [], "leaf class must be the majority of its histogram",
+    ),
+    "a negative count in a leaf whose class is not its majority": (
+        {"root.right.right": _leaf(0, -1, 7)},
+        [], "leaf histogram must be a list of nonnegative integers",
+    ),
+    "an overflowing leaf whose class is not its majority": (
+        {"root.right.right": _leaf(1, 2**63 - 1, 1)},
+        [], "histogram counts must total less than 2**63",
+    ),
+    "a split whose total overflows, then a wrong majority": (
+        {"root.right.left": _leaf(0, 2**62, 0), "root.right.right": _leaf(0, 2**62, 0),
+         "root.left.left": _leaf(1, 9, 0)},
+        [], "leaf class must be the majority of its histogram",
+    ),
+    "zero-count split on rows that do not match": (
+        {"root.left.right.left": _leaf(0, 0, 0), "root.left.right.right": _leaf(0, 0, 0)},
+        [], "routed rows do not reproduce the stored leaf histograms",
+    ),
+    "zero-count split on rows that match": (
+        {"root.left.left": {
+            "attribute": 0, "threshold": -1000.0,
+            "left": {"attribute": 0, "threshold": -2000.0,
+                     "left": _leaf(0, 0, 0), "right": _leaf(0, 0, 0)},
+            "right": _leaf(0, 9, 0),
+        }},
+        [], "a cost breakdown needs at least one instance",
+    ),
+    "class-count mismatch": (_THREE_CLASSES, [], "tree counts 3 classes, data has 2"),
+    "class-count mismatch and a two-class matrix": (
+        _THREE_CLASSES, ["--mc-01", "500", "--mc-10", "50"], "tree counts 3 classes, data has 2"
+    ),
+    "class-count mismatch on rows that do not match": (
+        {**_THREE_CLASSES, "root.right.left": _leaf(0, 5, 0, 0)},
+        [], "tree counts 3 classes, data has 2",
+    ),
+    "too few test costs on rows that do not match": (
+        {"test_costs": [4, 1, 4, 1, 7, 7, 8], "root.left.left": _leaf(0, 8, 0)},
+        [], "test cost count and attribute count differ",
+    ),
+    "rows that do not match": (
+        {"root.left.left": _leaf(0, 8, 1)},
+        [], "routed rows do not reproduce the stored leaf histograms",
+    ),
+}
+
+
+def _with_faults(doc, changes):
+    for where, value in changes.items():
+        if where == "test_costs":
+            doc[where] = value
+            continue
+        *path, side = where.split(".")[1:]
+        parent = doc["root"]
+        for step in path:
+            parent = parent[step]
+        if isinstance(value, dict) and not {"leaf", "left"} & set(value):
+            parent[side].update(value)
+        else:
+            parent[side] = value
+    return doc
+
+
+@pytest.mark.parametrize("name", list(PRUNE_FAULTS))
+def test_prune_reports_the_recorded_first_fault(
+    capsys, sample_path, fixture_tree_path, tmp_path, name
+):
+    changes, flags, message = PRUNE_FAULTS[name]
+    doc = _with_faults(json.loads(fixture_tree_path.read_text(encoding="utf-8")), changes)
+    fixture = tmp_path / "tree.json"
+    fixture.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(
+        capsys, "prune", "--fixture", str(fixture), "--data", str(sample_path), *flags
+    )
+    assert (code, err) == (1, f"error: {message}\n")

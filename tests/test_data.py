@@ -260,3 +260,148 @@ class TestSplitTrainTest:
         assert len(train) == int(np.floor(fraction * n + 0.5))
         merged = np.sort(row_numbers(train) + row_numbers(test))
         assert np.array_equal(merged, np.arange(n))
+
+
+# Inputs at the edges of the CSV dialect, each with what load_csv made of
+# it when these were recorded: either the dataset (features as the int64
+# view of their bits, labels, attribute names, class names) or the exact
+# ValueError text, with "{path}" for the file's path. A faster parse must
+# reproduce every one of them.
+LOADER_INPUTS = {
+    # name: (file contents, label column)
+    "quoted cells": ('x,"y",cls\n"1","2",a\n3," 4",b\n', None),
+    "quoted comma in a label": ('x,cls\n1,"a,b"\n2,c\n', None),
+    "quoted newline in a label": ('x,cls\n1,"a\nb"\n2,c\n', None),
+    "quoted blank line": ('x,cls\n1,"\n\n"\n2,c\n', None),
+    "CRLF": ("x,cls\r\n1,a\r\n2,b\r\n", None),
+    "lone CR line ends": ("x,cls\r1,a\r2,b\r", None),
+    "lone CR in a cell": ("x,cls\n1\r,a\n2,b\n", None),
+    "UTF-8 BOM": ("\ufeffx,cls\n1,a\n2,b\n", None),
+    "UTF-8 BOM on the named label": ("\ufeffx,y,cls\n1,2,a\n3,4,b\n", "x"),
+    "blank line in the middle": ("x,cls\n1,a\n\n2,b\n", None),
+    "trailing blank line": ("x,cls\n1,a\n2,b\n\n", None),
+    "no final newline": ("x,cls\n1,a\n2,b", None),
+    "header only": ("x,cls\n", None),
+    "header only, no newline": ("x,cls", None),
+    "empty file": ("", None),
+    "one newline": ("\n", None),
+    "one column": ("x\n1\n2\n", None),
+    "no such label column": ("x,cls\n1,a\n2,b\n", "nope"),
+    "NUL in a label": ("x,cls\n1,a\x00\n2,b\n", None),
+    "NUL in a cell": ("x,cls\n1\x00,a\n2,b\n", None),
+    "200,000-character field": ("x,cls\n1" + " " * 199_999 + ",a\n2,b\n", None),
+    "200,000-character line of short fields": ("x,cls\n" + "1," * 100_000 + "a\n2,b\n", None),
+    "cell 1_0": ("x,cls\n1_0,a\n2,b\n", None),
+    "Arabic-Indic digits": ("x,cls\n\u0661\u0662,a\n2,b\n", None),
+    "cell -0": ("x,cls\n-0,a\n2,b\n", None),
+    "cell ' 1e3 '": ("x,cls\n 1e3 ,a\n2,b\n", None),
+    "cell nan": ("x,cls\nnan,a\n2,b\n", None),
+    "cell inf": ("x,cls\n2,a\ninf,b\n", None),
+    "cell 0x10": ("x,cls\n0x10,a\n2,b\n", None),
+    "empty cell": ("x,cls\n,a\n2,b\n", None),
+    "float spellings": ("x,y,z,cls\n+1,.5,5.,a\n1E3,-.0,1e-400,b\n", None),
+    "extreme floats": ("x,y,cls\n1e308,5e-324,a\n-1.7976931348623157e308,4.9e-324,b\n", None),
+    "overflowing float": ("x,cls\n1,a\n1e309,b\n", None),
+    "whitespace that splitlines breaks on": ("x,cls\n1\x0c,a\n2 ,b\x0b\n3\x85,\x1ca\n", None),
+    "padded header and labels": (" x , cls \n1, a \n2,b c\n", None),
+    "label in the middle": ("x,cls,y\n1,a,2\n3,b,4\n", "cls"),
+    "duplicate header names": ("x,x,cls\n1,2,a\n3,4,b\n", "x"),
+    "short row": ("x,y,cls\n1,2,a\n3,b\n", None),
+    "long row": ("x,y,cls\n1,2,a\n3,4,5,b\n", None),
+    "blank label": ("x,y,cls\n1,2,a\n3,4, \n", None),
+    "single class": ("x,cls\n1,a\n2,a\n", None),
+    "first fault in row order": ("x,y,cls\n1,2,a\n3,4,\nq,6,b\n7,8\n", None),
+    "number fault before the blank label of its row": ("x,y,cls\n1,2,a\n3,q,\n", None),
+    "not-finite fault before a later number fault": ("x,y,cls\n1,2,a\ninf,q,b\n", None),
+    "invalid UTF-8": (b"x,cls\n1,a\n\xff,b\n", None),
+    "invalid UTF-8 past the first read": (b"x,cls\n" + b"1,a\n" * 3000 + b"2\xff,b\n", None),
+    "invalid UTF-8 after a blank line": (b"x,cls\n1,a\n\n\xff,b\n", None),
+}
+
+ONE, TWO = 4607182418800017408, 4611686018427387904  # the bits of 1.0 and 2.0
+ONE_TWO = ([[ONE], [TWO]], [0, 1], ("x",), ("a", "b"))
+LOADER_RECORDED = {
+    "quoted cells": (
+        [[ONE, TWO], [4613937818241073152, 4616189618054758400]], [0, 1], ("x", "y"), ("a", "b")
+    ),
+    "quoted comma in a label": ([[ONE], [TWO]], [0, 1], ("x",), ("a,b", "c")),
+    "quoted newline in a label": ([[ONE], [TWO]], [0, 1], ("x",), ("a\nb", "c")),
+    "quoted blank line": "{path}: row 1: blank label cell",
+    "CRLF": ONE_TWO,
+    "lone CR line ends": ONE_TWO,
+    "lone CR in a cell": "{path}: row 1 has 1 cells, expected 2",
+    "UTF-8 BOM": ([[ONE], [TWO]], [0, 1], ("\ufeffx",), ("a", "b")),
+    "UTF-8 BOM on the named label": "{path}: no column named 'x'",
+    "blank line in the middle": "{path}: row 2 has 0 cells, expected 2",
+    "trailing blank line": "{path}: row 3 has 0 cells, expected 2",
+    "no final newline": ONE_TWO,
+    "header only": "{path}: no data rows after the header",
+    "header only, no newline": "{path}: no data rows after the header",
+    "empty file": "{path}: file is empty",
+    "one newline": "{path}: no data rows after the header",
+    "one column": "{path}: need at least one feature column and a label column",
+    "no such label column": "{path}: no column named 'nope'",
+    "NUL in a label": ([[ONE], [TWO]], [0, 1], ("x",), ("a\x00", "b")),
+    "NUL in a cell": "{path}: row 1, column 'x': '1\\x00' is not a number",
+    "200,000-character field": "{path}: row 1: field larger than field limit (131072)",
+    "200,000-character line of short fields": "{path}: row 1 has 100001 cells, expected 2",
+    "cell 1_0": ([[4621819117588971520], [TWO]], [0, 1], ("x",), ("a", "b")),
+    "Arabic-Indic digits": ([[4622945017495814144], [TWO]], [0, 1], ("x",), ("a", "b")),
+    "cell -0": ([[-9223372036854775808], [TWO]], [0, 1], ("x",), ("a", "b")),
+    "cell ' 1e3 '": ([[4652007308841189376], [TWO]], [0, 1], ("x",), ("a", "b")),
+    "cell nan": "{path}: row 1, column 'x': 'nan' is not finite",
+    "cell inf": "{path}: row 2, column 'x': 'inf' is not finite",
+    "cell 0x10": "{path}: row 1, column 'x': '0x10' is not a number",
+    "empty cell": "{path}: row 1, column 'x': '' is not a number",
+    "float spellings": (
+        [[ONE, 4602678819172646912, 4617315517961601024],
+         [4652007308841189376, -9223372036854775808, 0]],
+        [0, 1], ("x", "y", "z"), ("a", "b"),
+    ),
+    "extreme floats": (
+        [[9214871658872686752, 1], [-4503599627370497, 1]], [0, 1], ("x", "y"), ("a", "b")
+    ),
+    "overflowing float": "{path}: row 2, column 'x': '1e309' is not finite",
+    "whitespace that splitlines breaks on": (
+        [[ONE], [TWO], [4613937818241073152]], [0, 1, 0], ("x",), ("a", "b")
+    ),
+    "padded header and labels": ([[ONE], [TWO]], [0, 1], ("x",), ("a", "b c")),
+    "label in the middle": (
+        [[ONE, TWO], [4613937818241073152, 4616189618054758400]], [0, 1], ("x", "y"), ("a", "b")
+    ),
+    "duplicate header names": "{path}: row 1, column 'cls': 'a' is not a number",
+    "short row": "{path}: row 2 has 2 cells, expected 3",
+    "long row": "{path}: row 2 has 4 cells, expected 3",
+    "blank label": "{path}: row 2: blank label cell",
+    "single class": "{path}: found a single class 'a'; need at least two",
+    "first fault in row order": "{path}: row 2: blank label cell",
+    "number fault before the blank label of its row": (
+        "{path}: row 2, column 'y': 'q' is not a number"
+    ),
+    "not-finite fault before a later number fault": (
+        "{path}: row 2, column 'x': 'inf' is not finite"
+    ),
+    # the decoder counts positions from the start of the chunk it was given
+    "invalid UTF-8": "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte",
+    "invalid UTF-8 past the first read": (
+        "'utf-8' codec can't decode byte 0xff in position 3815: invalid start byte"
+    ),
+    "invalid UTF-8 after a blank line": (
+        "'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(LOADER_INPUTS))
+def test_loader_matches_recorded_contract(tmp_path, name):
+    content, label_column = LOADER_INPUTS[name]
+    path = tmp_path / "data.csv"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    try:
+        ds = load_csv(path, label_column)
+    except ValueError as exc:
+        got = str(exc).replace(str(path), "{path}")
+    else:
+        got = (ds.features.view(np.int64).tolist(), ds.labels.tolist(),
+               ds.attribute_names, ds.class_names)
+    assert got == LOADER_RECORDED[name]
