@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -15,7 +14,7 @@ from .costs import (
     two_class_matrix,
 )
 from .data import load_csv, split_train_test
-from .evaluation import CostBreakdown, average_cost, average_costs
+from .evaluation import CostBreakdown, average_cost, routed_costs
 from .experiment import (
     PRUNE_FLAGS,
     ExperimentConfig,
@@ -29,7 +28,7 @@ from .experiment import (
     write_trace_csv,
 )
 from .pruning import post_prune
-from .tree import build_tree, check_training_rows, deserialize, serialize
+from .tree import build_tree, check_training_rows, deserialize, pruned_route, serialize
 
 
 class _Parser(argparse.ArgumentParser):
@@ -198,27 +197,6 @@ def _breakdown_json(cost: CostBreakdown):
     }
 
 
-def _trace_json(entries):
-    return [
-        {
-            "step": step,
-            "node": entry.node_id,
-            "attribute": entry.attribute,
-            "keep": _breakdown_json(entry.cost_keep),
-            "prune": _breakdown_json(entry.cost_prune),
-            "instances": entry.instance_count,
-            "pruned": entry.pruned,
-        }
-        for step, entry in enumerate(entries, start=1)
-    ]
-
-
-def _write_json(path, payload):
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
 def cmd_train(args) -> None:
     dataset, fixed_tc, mc = _load(args)
     tc = _test_costs(args, dataset, fixed_tc)
@@ -248,7 +226,7 @@ def cmd_train(args) -> None:
         "test_costs": list(tc.costs),
         "nodes": nodes,
         "train": _breakdown_json(train_cost),
-        "trace": _trace_json(entries),
+        "trace": entries,
     }
     if test is not None:
         test_cost = average_cost(tree, test, tc, mc)
@@ -259,7 +237,7 @@ def cmd_train(args) -> None:
     if args.out_csv:
         write_trace_csv(entries, args.out_csv)
     if args.out_json:
-        _write_json(args.out_json, report)
+        write_summary_json(report, args.out_json)
 
 
 def cmd_prune(args) -> None:
@@ -268,10 +246,12 @@ def cmd_prune(args) -> None:
     tc = fixed_tc if fixed_tc is not None else tree.tc_used
     if len(tc) != dataset.num_attributes:
         raise ValueError("test cost count and attribute count differ")
-    check_training_rows(tree, dataset)
+    leaves = check_training_rows(tree, dataset)
     pruned_tree, entries = post_prune(tree, tc, mc, args.prune_on_tie)
-    # one routing for both trees: the pruned tree's rows are all cut already
-    initial, final = average_costs([tree, pruned_tree], dataset, tc, mc)
+    # one routing for both trees: a pruned leaf's rows are its grown leaves' rows
+    initial, final = routed_costs(
+        [leaves, pruned_route(leaves, tree, pruned_tree)], dataset, tc, mc
+    )
     for line in _mapping_lines(dataset):
         print(line)
     print(f"initial average cost {initial.average} over {initial.count} rows")
@@ -287,14 +267,14 @@ def cmd_prune(args) -> None:
     if args.tree_out:
         Path(args.tree_out).write_text(serialize(pruned_tree), encoding="utf-8")
     if args.out_json:
-        _write_json(
-            args.out_json,
+        write_summary_json(
             {
                 "class_mapping": _mapping_json(dataset),
                 "initial": _breakdown_json(initial),
                 "pruned": _breakdown_json(final),
-                "trace": _trace_json(entries),
+                "trace": entries,
             },
+            args.out_json,
         )
 
 
@@ -328,7 +308,7 @@ def cmd_sweep(args) -> None:
     if args.out_csv:
         write_rows_csv(rows, args.out_csv)
     if args.out_json:
-        _write_json(args.out_json, summary)
+        write_summary_json(summary, args.out_json)
     if args.tree_out:
         pick = sweeps[True] if True in sweeps else sweeps[False]
         Path(args.tree_out).write_text(serialize(pick.winner_tree), encoding="utf-8")

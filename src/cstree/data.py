@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -100,49 +102,90 @@ class Dataset:
         )
 
 
-def load_csv(path, label_column: str | None = None) -> Dataset:
-    """Read a comma-separated file with one header row into a Dataset.
-
-    The label column is chosen by name, or defaults to the last column.
-    Class names map to label indices 0..k-1 in order of first appearance;
-    the mapping is retained on the dataset for reporting. Feature cells
-    must parse as finite numbers. Data rows are numbered from 1 in error
-    messages.
-    """
-    path = Path(path)
+def _reader_rows(path: Path, lines) -> list[list[str]]:
+    """The records csv.reader reads from ``lines``."""
     rows: list[list[str]] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        try:
-            rows.extend(csv.reader(fh))
-        except csv.Error as exc:
-            # rows holds the records read before the bad one; the header is row 0
-            raise ValueError(f"{path}: row {len(rows)}: {exc}") from None
-    if not rows:
-        raise ValueError(f"{path}: file is empty")
-    header = [name.strip() for name in rows[0]]
-    body = rows[1:]
-    if not body:
-        raise ValueError(f"{path}: no data rows after the header")
-    if len(header) < 2:
-        raise ValueError(f"{path}: need at least one feature column and a label column")
-    if label_column is None:
-        label_idx = len(header) - 1
-    elif label_column in header:
-        label_idx = header.index(label_column)
-    else:
-        raise ValueError(f"{path}: no column named {label_column!r}")
+    try:
+        rows.extend(csv.reader(lines))
+    except csv.Error as exc:
+        # rows holds the records read before the bad one; the header is row 0
+        raise ValueError(f"{path}: row {len(rows)}: {exc}") from None
+    return rows
 
-    attribute_names = tuple(name for i, name in enumerate(header) if i != label_idx)
-    features: list[list[float]] = []
-    labels: list[int] = []
-    class_names: list[str] = []
+
+def _read_text(path: Path) -> str:
+    """The file's text. A file that does not decode is read again as a
+    stream through csv.reader, so that the error raised is the first one
+    csv.reader meets, a decoding error worded as the stream decoder words
+    it."""
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        with path.open(newline="", encoding="utf-8") as fh:
+            _reader_rows(path, fh)
+        raise
+
+
+def _records(path: Path, text: str):
+    """The header cells of ``text`` (None if it holds no record), its
+    number of data records, and per column the cells of every data record
+    in row order, or None when the records are not all as wide as the
+    header.
+
+    A text with no quote, CR or NUL, no blank line before its final
+    newline and no line longer than the csv module's field limit is split
+    on newlines and then, all at once, on commas: csv.reader would read
+    the same records from it. Any other text goes through csv.reader.
+    """
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the final newline, or an empty text
+    if not (
+        '"' in text or "\r" in text or "\x00" in text or "" in lines
+        or max(map(len, lines), default=0) > csv.field_size_limit()
+    ):
+        if not lines:
+            return None, 0, None
+        header = lines[0].split(",")
+        width = len(header)
+        if set(map(str.count, lines, itertools.repeat(","))) != {width - 1}:
+            return header, len(lines) - 1, None
+        cells = ",".join(lines[1:]).split(",")
+        return header, len(lines) - 1, [cells[j::width] for j in range(width)]
+    rows = _reader_rows(path, io.StringIO(text, newline=""))
+    if not rows:
+        return None, 0, None
+    header, body = rows[0], rows[1:]
+    if set(map(len, body)) != {len(header)}:
+        return header, len(body), None
+    return header, len(body), [list(column) for column in zip(*body)]
+
+
+def _parse_columns(columns, label_idx: int):
+    """The feature array, label indices and class names of the data cells
+    ``columns``, or None if any cell is bad."""
+    columns = list(columns)
+    names = list(map(str.strip, columns.pop(label_idx)))
+    try:
+        features = np.array([list(map(float, map(str.strip, col))) for col in columns]).T
+    except ValueError:
+        return None
     class_index: dict[str, int] = {}
+    labels = [class_index.setdefault(name, len(class_index)) for name in names]
+    if "" in class_index or not np.isfinite(features).all():
+        return None
+    return np.ascontiguousarray(features), np.array(labels), tuple(class_index)
+
+
+def _raise_first_fault(path, header, label_idx: int, body) -> None:
+    """Raise the ValueError of the first bad row of ``body``, in row order
+    and, within a row, cell by cell with the label last."""
     for row_num, row in enumerate(body, start=1):
         if len(row) != len(header):
             raise ValueError(
                 f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
             )
-        vector = []
         for col, cell in enumerate(row):
             if col == label_idx:
                 continue
@@ -158,20 +201,57 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
                     f"{path}: row {row_num}, column {header[col]!r}: "
                     f"{cell!r} is not finite"
                 )
-            vector.append(value)
-        label = row[label_idx].strip()
-        if not label:
+        if not row[label_idx].strip():
             raise ValueError(f"{path}: row {row_num}: blank label cell")
-        if label not in class_index:
-            class_index[label] = len(class_names)
-            class_names.append(label)
-        labels.append(class_index[label])
-        features.append(vector)
+    raise AssertionError("the column parse failed on rows without a fault")
+
+
+def load_csv(path, label_column: str | None = None) -> Dataset:
+    """Read a comma-separated file with one header row into a Dataset.
+
+    The dialect is the csv module's default: cells may be quoted, and
+    lines may end in LF, CRLF or a lone CR. The file is UTF-8; a byte
+    order mark stays part of the first header name. Every line of the
+    file is a record, so a blank line, a trailing one included, is a row
+    with too few cells.
+
+    The label column is chosen by name, or defaults to the last column.
+    Header names and cells are stripped of surrounding whitespace. Class
+    names map to label indices 0..k-1 in order of first appearance; the
+    mapping is retained on the dataset for reporting. Feature cells must
+    parse as finite numbers by Python's float. The cells are converted a
+    column at a time; a file with a bad row is read again row by row, so
+    that the error names the first bad row, counted from 1, and in it
+    the first bad cell.
+    """
+    path = Path(path)
+    text = _read_text(path)
+    header, count, columns = _records(path, text)
+    if header is None:
+        raise ValueError(f"{path}: file is empty")
+    header = [name.strip() for name in header]
+    if not count:
+        raise ValueError(f"{path}: no data rows after the header")
+    if len(header) < 2:
+        raise ValueError(f"{path}: need at least one feature column and a label column")
+    if label_column is None:
+        label_idx = len(header) - 1
+    elif label_column in header:
+        label_idx = header.index(label_column)
+    else:
+        raise ValueError(f"{path}: no column named {label_column!r}")
+
+    attribute_names = tuple(name for i, name in enumerate(header) if i != label_idx)
+    parsed = None if columns is None else _parse_columns(columns, label_idx)
+    if parsed is None:
+        body = _reader_rows(path, io.StringIO(text, newline=""))[1:]
+        _raise_first_fault(path, header, label_idx, body)
+    features, labels, class_names = parsed
     if len(class_names) < 2:
         raise ValueError(
             f"{path}: found a single class {class_names[0]!r}; need at least two"
         )
-    return Dataset(np.array(features), np.array(labels), attribute_names, tuple(class_names))
+    return Dataset(features, labels, attribute_names, class_names)
 
 
 def split_train_test(dataset: Dataset, train_fraction: float, rng: np.random.Generator):

@@ -14,6 +14,7 @@ __all__ = [
     "CostBreakdown",
     "average_cost",
     "average_costs",
+    "routed_costs",
     "reduction_ratio",
     "average_reduction_ratio",
 ]
@@ -46,6 +47,11 @@ def _total_in_order(per_row: np.ndarray) -> float:
     return float(np.cumsum(per_row)[-1]) + 0.0
 
 
+def _check_matrix(data: Dataset, mc: MisclassificationMatrix) -> None:
+    if mc.num_classes != data.num_classes:
+        raise ValueError("matrix classes and dataset classes differ")
+
+
 def average_costs(
     trees,
     data: Dataset,
@@ -58,10 +64,8 @@ def average_costs(
 
     The rows are routed down all the trees at once by tree.route, which
     cuts the rows of each chain of tests once however many trees share
-    it. Each tree then fills its own per-row arrays, and their costs are
-    added in row order."""
-    if mc.num_classes != data.num_classes:
-        raise ValueError("matrix classes and dataset classes differ")
+    it; routed_costs then costs each tree."""
+    _check_matrix(data, mc)
     trees = list(trees)
     for tree in trees:
         if data.num_attributes != len(tree.tc_used):
@@ -69,10 +73,23 @@ def average_costs(
                 f"expected a vector of {len(tree.tc_used)} features, "
                 f"got shape {(data.num_attributes,)}"
             )
+    return routed_costs(route(trees, data), data, tc, mc)
+
+
+def routed_costs(
+    routes,
+    data: Dataset,
+    tc: TestCostVector,
+    mc: MisclassificationMatrix,
+) -> list[CostBreakdown]:
+    """average_costs of trees whose rows are routed already: per tree, its
+    leaves as tree.route gives them for ``data``. Each tree fills its own
+    per-row arrays, and their costs are added in row order."""
+    _check_matrix(data, mc)
     penalty_table = np.array(mc.rows)
     path_costs: dict[frozenset, float] = {}
     breakdowns = []
-    for leaves in route(trees, data):
+    for leaves in routes:
         nodes, paths, reached = zip(*leaves)
         sizes = np.array([len(rows) for rows in reached])
         predicted = np.array([leaf.predicted_class for leaf in nodes])

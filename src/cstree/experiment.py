@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -337,10 +339,85 @@ def write_rows_csv(rows, path) -> None:
             )
 
 
-def write_summary_json(summary: dict, path) -> None:
+# one PruneTraceEntry as json.dumps(..., indent=2) writes its object in
+# the list that is a report's "trace" value
+_TRACE_ENTRY = """{{
+      "step": {},
+      "node": {},
+      "attribute": {},
+      "keep": {{
+        "test_cost_total": {},
+        "misclassification_total": {},
+        "average": {},
+        "count": {}
+      }},
+      "prune": {{
+        "test_cost_total": {},
+        "misclassification_total": {},
+        "average": {},
+        "count": {}
+      }},
+      "instances": {},
+      "pruned": {}
+    }}"""
+
+
+def _float_json(value: float) -> str:
+    """A float as json spells it."""
+    if value != value:
+        return "NaN"
+    if value in (math.inf, -math.inf):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+def _write_trace(fh, entries) -> None:
+    """Write ``entries`` as the JSON list of their objects: step (counted
+    from 1), node, attribute, the keep and prune breakdowns, instances and
+    pruned. One entry is rendered and written at a time."""
+    separator = "[\n    "
+    for step, entry in enumerate(entries, start=1):
+        keep, prune = entry.cost_keep, entry.cost_prune
+        fh.write(separator + _TRACE_ENTRY.format(
+            int.__repr__(step),
+            encode_basestring_ascii(entry.node_id),
+            int.__repr__(entry.attribute),
+            _float_json(keep.test_cost_total),
+            _float_json(keep.misclassification_total),
+            _float_json(keep.average),
+            int.__repr__(keep.count),
+            _float_json(prune.test_cost_total),
+            _float_json(prune.misclassification_total),
+            _float_json(prune.average),
+            int.__repr__(prune.count),
+            int.__repr__(entry.instance_count),
+            "true" if entry.pruned else "false",
+        ))
+        separator = ",\n    "
+    fh.write("\n  ]" if entries else "[]")
+
+
+def write_summary_json(report: dict, path) -> None:
+    """Write a report, a dict with string keys, as ``json.dump(report, fh,
+    indent=2)`` writes it, plus a final newline. Every JSON report of the
+    CLI (``--out-json``) is written here.
+
+    Each top-level value is rendered by ``json.dumps(value, indent=2)`` and
+    indented one level. A value that is a list of PruneTraceEntry is
+    written as the list of the entries' JSON objects (see _write_trace),
+    spelled as json spells their numbers, strings and booleans, without
+    building them as dicts first.
+    """
     with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+        separator = "{\n  "
+        for key, value in report.items():
+            fh.write(separator + encode_basestring_ascii(key) + ": ")
+            if isinstance(value, list) and value and isinstance(value[0], PruneTraceEntry):
+                _write_trace(fh, value)
+            else:
+                fh.write(json.dumps(value, indent=2).replace("\n", "\n  "))
+            separator = ",\n  "
+        fh.write("\n}\n" if report else "{}\n")
 
 
 def write_trace_csv(entries: list[PruneTraceEntry], path) -> None:

@@ -764,13 +764,23 @@ def serialize(tree: DecisionTree) -> str:
     """Render the tree as JSON: structure, thresholds at full precision,
     leaf histograms, the exponent, and the test costs. A tree nested too
     deeply for json to write raises ValueError, as json could not read it
-    back either."""
+    back either.
+
+    The node dicts are built children first, on an explicit stack, so
+    that any depth works; json's C encoder then writes them in one call.
+    """
+    order, stack = [], [tree.root]  # parents first, right subtrees before left
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if node.attribute is not None:
+            stack += (node.left, node.right)
     # children first, left before right: a node's children are the last two built
     built: list[dict] = []
-    for node, _ in reversed(list(walk(tree.root))):
-        if node.is_leaf:
+    for node in reversed(order):
+        if node.attribute is None:
             built.append(
-                {"leaf": int(node.predicted_class), "histogram": [int(c) for c in node.histogram]}
+                {"leaf": int(node.predicted_class), "histogram": node.histogram.tolist()}
             )
         else:
             right, left = built.pop(), built.pop()
@@ -793,57 +803,106 @@ def serialize(tree: DecisionTree) -> str:
         raise ValueError("tree is nested too deeply to write as JSON") from None
 
 
-def _tree_from_json(top, num_attributes: int) -> TreeNode:
-    """The checked tree of a parsed JSON root node."""
-    root = TreeNode(histogram=None)
-    pending = [top]  # in step with the walk's own stack
-    nodes: list[TreeNode] = []
+def _check_leaf(obj, width):
+    """Raise the first fault of one parsed leaf; return its histogram width."""
+    hist = obj["histogram"]
+    if not (isinstance(hist, list) and hist and all(_is_int(c) and c >= 0 for c in hist)):
+        raise ValueError("leaf histogram must be a list of nonnegative integers")
+    width = width or len(hist)
+    if len(hist) != width:
+        raise ValueError("all leaf histograms must have the same length")
+    predicted = obj["leaf"]
+    if not _is_int(predicted) or not 0 <= predicted < len(hist):
+        raise ValueError("leaf class must index the histogram")
+    if sum(hist) >= 2**63:
+        raise ValueError("histogram counts must total less than 2**63")
+    if predicted != int(np.argmax(np.array(hist, dtype=np.int64))):
+        raise ValueError("leaf class must be the majority of its histogram")
+    return width
+
+
+def _leaf_block(leaves):
+    """The histograms of parsed leaves, in the order read, as one int64
+    block, and their total count; None if any leaf has a fault that
+    _check_leaf raises."""
+    hists = [obj["histogram"] for obj in leaves]
+    predicted = [obj["leaf"] for obj in leaves]
+    if set(map(type, hists)) != {list} or set(map(type, predicted)) != {int}:
+        return None
+    widths = set(map(len, hists))
+    counts = list(itertools.chain.from_iterable(hists))
+    if len(widths) != 1 or set(map(type, counts)) != {int} or min(counts) < 0:
+        return None
+    totals = list(map(sum, hists))
+    if max(totals) >= 2**63 or not 0 <= min(predicted) <= max(predicted) < widths.pop():
+        return None
+    block = np.array(hists, dtype=np.int64)
+    if not np.array_equal(block.argmax(axis=1), predicted):
+        return None
+    return block, sum(totals)
+
+
+def _raise_first_leaf_fault(leaves) -> None:
+    """Raise the first fault of the parsed ``leaves``, in the order read."""
     width = None
-    # the walk reads a node's children only after this loop has hung them
-    for node, _ in walk(root):
-        obj = pending.pop()
-        if not isinstance(obj, dict):
-            raise ValueError("tree nodes must be JSON objects")
-        keys = set(obj)
-        if keys == {"leaf", "histogram"}:
-            hist = obj["histogram"]
-            if not (isinstance(hist, list) and hist and all(_is_int(c) and c >= 0 for c in hist)):
-                raise ValueError("leaf histogram must be a list of nonnegative integers")
-            width = width or len(hist)
-            if len(hist) != width:
-                raise ValueError("all leaf histograms must have the same length")
-            predicted = obj["leaf"]
-            if not _is_int(predicted) or not 0 <= predicted < len(hist):
-                raise ValueError("leaf class must index the histogram")
-            if sum(hist) >= 2**63:
-                raise ValueError("histogram counts must total less than 2**63")
-            node.histogram = np.array(hist, dtype=np.int64)
-            if predicted != int(np.argmax(node.histogram)):
-                raise ValueError("leaf class must be the majority of its histogram")
-            node.predicted_class = predicted
-        elif keys == {"attribute", "threshold", "left", "right"}:
-            attribute = obj["attribute"]
-            if not _is_int(attribute) or not 0 <= attribute < num_attributes:
-                raise ValueError(f"attribute index must lie in [0, {num_attributes - 1}]")
-            threshold = obj["threshold"]
-            if not _is_number(threshold) or not math.isfinite(threshold):
-                raise ValueError("threshold must be a finite number")
-            node.attribute, node.threshold = attribute, float(threshold)
-            node.left, node.right = TreeNode(histogram=None), TreeNode(histogram=None)
-            pending += [obj["left"], obj["right"]]
-        else:
-            raise ValueError(
-                "node must have exactly the keys {leaf, histogram} or "
-                "{attribute, threshold, left, right}"
-            )
-        nodes.append(node)
-    for node in reversed(nodes):
-        if not node.is_leaf:
-            left, right = node.left.histogram, node.right.histogram
-            # each child's total fits an int64, so these sums are exact
-            if int(left.sum()) + int(right.sum()) >= 2**63:
-                raise ValueError("histogram counts must total less than 2**63")
-            node.histogram = left + right
+    for obj in leaves:
+        width = _check_leaf(obj, width)
+
+
+def _tree_from_json(top, num_attributes: int) -> TreeNode:
+    """The checked tree of a parsed JSON root node.
+
+    Nodes are read parents first, right subtrees before left, and a fault
+    raises the ValueError of the first faulty node in that order. A node's
+    keys and a split's test are checked as it is read; the leaves are
+    checked together, once all are read or at the first fault of any
+    other kind, as the leaves read before it may hold an earlier fault.
+    """
+    root = TreeNode(histogram=None)
+    stack = [(top, root)]
+    leaves: list[TreeNode] = []
+    leaf_objs: list[dict] = []
+    splits: list[TreeNode] = []
+    try:
+        while stack:
+            obj, node = stack.pop()
+            if not isinstance(obj, dict):
+                raise ValueError("tree nodes must be JSON objects")
+            keys = obj.keys()
+            if keys == {"leaf", "histogram"}:
+                leaves.append(node)
+                leaf_objs.append(obj)
+            elif keys == {"attribute", "threshold", "left", "right"}:
+                attribute = obj["attribute"]
+                if not _is_int(attribute) or not 0 <= attribute < num_attributes:
+                    raise ValueError(f"attribute index must lie in [0, {num_attributes - 1}]")
+                threshold = obj["threshold"]
+                if not _is_number(threshold) or not math.isfinite(threshold):
+                    raise ValueError("threshold must be a finite number")
+                node.attribute, node.threshold = attribute, float(threshold)
+                node.left, node.right = TreeNode(histogram=None), TreeNode(histogram=None)
+                stack += ((obj["left"], node.left), (obj["right"], node.right))
+                splits.append(node)
+            else:
+                raise ValueError(
+                    "node must have exactly the keys {leaf, histogram} or "
+                    "{attribute, threshold, left, right}"
+                )
+    except ValueError:
+        _raise_first_leaf_fault(leaf_objs)
+        raise
+    parsed = _leaf_block(leaf_objs)
+    if parsed is None:
+        _raise_first_leaf_fault(leaf_objs)
+        raise AssertionError("the leaf block failed on leaves without a fault")
+    block, total = parsed
+    for node, obj, histogram in zip(leaves, leaf_objs, block):
+        node.histogram, node.predicted_class = histogram, obj["leaf"]
+    # every split's total is at most the root's
+    if splits and total >= 2**63:
+        raise ValueError("histogram counts must total less than 2**63")
+    for node in reversed(splits):  # children first
+        node.histogram = node.left.histogram + node.right.histogram
     return root
 
 
@@ -873,8 +932,9 @@ def deserialize(text: str) -> DecisionTree:
     return DecisionTree(root=root, lambda_used=float(lam), tc_used=tc)
 
 
-def check_training_rows(tree: DecisionTree, data: Dataset) -> None:
-    """Raise ValueError unless ``data`` can be the tree's training rows.
+def check_training_rows(tree: DecisionTree, data: Dataset) -> list:
+    """Raise ValueError unless ``data`` can be the tree's training rows,
+    and return the tree's leaves as route gives them for ``data``.
 
     The rows are routed through the tree's tests and must reproduce every
     stored leaf histogram exactly.
@@ -885,7 +945,8 @@ def check_training_rows(tree: DecisionTree, data: Dataset) -> None:
         )
     if data.num_attributes != len(tree.tc_used):
         raise ValueError("data and tree disagree on the number of attributes")
-    nodes, _, reached = zip(*next(route([tree], data)))
+    leaves = next(route([tree], data))
+    nodes, _, reached = zip(*leaves)
     stored, k = [leaf.histogram for leaf in nodes], data.num_classes
     # one count of (leaf, class) cells over every routed row at once
     leaf_of = np.repeat(np.arange(len(nodes)), [len(rows) for rows in reached])
@@ -895,3 +956,29 @@ def check_training_rows(tree: DecisionTree, data: Dataset) -> None:
         cells, np.array(stored)
     ):
         raise ValueError("routed rows do not reproduce the stored leaf histograms")
+    return leaves
+
+
+def pruned_route(leaves, tree: DecisionTree, pruned: DecisionTree) -> list:
+    """route's leaves of ``pruned``, a tree that post-pruning made of
+    ``tree``, read off ``leaves``, route's leaves of ``tree`` on the same
+    rows, without cutting any rows again. A pruned leaf holds the rows of
+    every leaf of ``tree`` below the node it replaced."""
+    grown = iter(leaves)  # in walk order, as the walks below meet them
+    routed = []
+    stack = [(tree.root, pruned.root, frozenset())]
+    while stack:
+        node, kept, path = stack.pop()
+        if kept.attribute is not None:
+            deeper = path | {kept.attribute}
+            stack += ((node.left, kept.left, deeper), (node.right, kept.right, deeper))
+            continue
+        rows, below = [], [node]
+        while below:
+            node = below.pop()
+            if node.attribute is None:
+                rows.append(next(grown)[2])
+            else:
+                below += (node.left, node.right)
+        routed.append((kept, path, rows[0] if len(rows) == 1 else np.concatenate(rows)))
+    return routed

@@ -311,3 +311,96 @@ class TestWriters:
         text = path.read_text(encoding="utf-8")
         assert text.endswith("\n")
         assert json.loads(text) == json.loads(json.dumps(summary))
+
+
+def _breakdown_dict(cost):
+    return {
+        "test_cost_total": cost.test_cost_total,
+        "misclassification_total": cost.misclassification_total,
+        "average": cost.average,
+        "count": cost.count,
+    }
+
+
+def _trace_dicts(entries):
+    """The trace as the dicts the report writer must spell out."""
+    return [
+        {
+            "step": step,
+            "node": entry.node_id,
+            "attribute": entry.attribute,
+            "keep": _breakdown_dict(entry.cost_keep),
+            "prune": _breakdown_dict(entry.cost_prune),
+            "instances": entry.instance_count,
+            "pruned": entry.pruned,
+        }
+        for step, entry in enumerate(entries, start=1)
+    ]
+
+
+def _odd_entries():
+    """Trace entries whose figures json spells in every way it can."""
+    from cstree.evaluation import CostBreakdown
+    from cstree.pruning import PruneTraceEntry
+
+    odd = [-0.0, 5e-324, 1e308, 0.1, float("nan"), float("inf"), float("-inf"), 1e16, 2.5]
+    return [
+        PruneTraceEntry(
+            node_id, attribute,
+            CostBreakdown(odd[i % 9], odd[(i + 1) % 9], odd[(i + 2) % 9], 2**53 + i),
+            CostBreakdown(odd[(i + 3) % 9], odd[(i + 4) % 9], odd[(i + 5) % 9], i),
+            2**63 - 1 - i, bool(i % 2),
+        )
+        for i, (node_id, attribute) in enumerate(
+            [("root", 0), ("root.left", 3), ("root.right.léft", 12), ("root.\"q\"", 1)] * 3
+        )
+    ]
+
+
+class TestReportWriter:
+    """write_summary_json writes every report as json.dump with indent=2
+    does; the stdlib is the reference."""
+
+    def check(self, tmp_path, report, reference):
+        path = tmp_path / "report.json"
+        write_summary_json(report, path)
+        assert path.read_text(encoding="utf-8") == json.dumps(reference, indent=2) + "\n"
+
+    def test_plain_values(self, tmp_path):
+        report = {
+            "class_mapping": [[0, "gamma"], [1, "café"], [2, "温度☃"]],
+            "seed": 2**53 + 1,
+            "zeros": [-0.0, 0.0, 5e-324, 1e308, -1e308, 1e16, 0.1],
+            "big": -(2**64),
+            "nested": {"a": {"b": [], "c": {}}, "d": [1, [2, [3]]], "e": None, "f": True},
+            "empty trace": [],
+            "text": "line\nbreak \"quoted\" \\ tab\t",
+            "non-finite": [float("nan"), float("inf"), float("-inf")],
+        }
+        self.check(tmp_path, report, report)
+
+    def test_trace_entries(self, tmp_path):
+        entries = _odd_entries()
+        report = {"class_mapping": [[0, "é"]], "initial": {"average": -0.0},
+                  "trace": entries}
+        self.check(tmp_path, report, {**report, "trace": _trace_dicts(entries)})
+
+    def test_train_report_with_test_after_trace(self, tmp_path):
+        entries = _odd_entries()[:2]
+        report = {"class_mapping": [[0, "0"], [1, "1"]], "lambda": -0.0,
+                  "test_costs": [1.5, 5e-324], "nodes": 5,
+                  "train": {"average": 1e308, "count": 2**60}, "trace": entries,
+                  "test": {"average": 0.1, "count": 3}}
+        self.check(tmp_path, report, {**report, "trace": _trace_dicts(entries)})
+
+    def test_empty_trace_and_empty_report(self, tmp_path):
+        self.check(tmp_path, {"trace": []}, {"trace": []})
+        self.check(tmp_path, {}, {})
+
+    def test_pruning_trace_of_the_fixture(self, tmp_path, bound_fixture, table_costs, example_mc):
+        from cstree.pruning import post_prune
+
+        _, entries = post_prune(bound_fixture, table_costs, example_mc)
+        assert entries
+        report = {"initial": 1.0, "trace": entries}
+        self.check(tmp_path, report, {**report, "trace": _trace_dicts(entries)})
