@@ -803,28 +803,10 @@ def serialize(tree: DecisionTree) -> str:
         raise ValueError("tree is nested too deeply to write as JSON") from None
 
 
-def _check_leaf(obj, width):
-    """Raise the first fault of one parsed leaf; return its histogram width."""
-    hist = obj["histogram"]
-    if not (isinstance(hist, list) and hist and all(_is_int(c) and c >= 0 for c in hist)):
-        raise ValueError("leaf histogram must be a list of nonnegative integers")
-    width = width or len(hist)
-    if len(hist) != width:
-        raise ValueError("all leaf histograms must have the same length")
-    predicted = obj["leaf"]
-    if not _is_int(predicted) or not 0 <= predicted < len(hist):
-        raise ValueError("leaf class must index the histogram")
-    if sum(hist) >= 2**63:
-        raise ValueError("histogram counts must total less than 2**63")
-    if predicted != int(np.argmax(np.array(hist, dtype=np.int64))):
-        raise ValueError("leaf class must be the majority of its histogram")
-    return width
-
-
 def _leaf_block(leaves):
     """The histograms of parsed leaves, in the order read, as one int64
     block, and their total count; None if any leaf has a fault that
-    _check_leaf raises."""
+    _raise_first_leaf_fault raises."""
     hists = [obj["histogram"] for obj in leaves]
     predicted = [obj["leaf"] for obj in leaves]
     if set(map(type, hists)) != {list} or set(map(type, predicted)) != {int}:
@@ -843,10 +825,23 @@ def _leaf_block(leaves):
 
 
 def _raise_first_leaf_fault(leaves) -> None:
-    """Raise the first fault of the parsed ``leaves``, in the order read."""
+    """Raise the first fault of the parsed ``leaves``, one leaf at a time in
+    the order read."""
     width = None
     for obj in leaves:
-        width = _check_leaf(obj, width)
+        hist = obj["histogram"]
+        if not (isinstance(hist, list) and hist and all(_is_int(c) and c >= 0 for c in hist)):
+            raise ValueError("leaf histogram must be a list of nonnegative integers")
+        width = width or len(hist)
+        if len(hist) != width:
+            raise ValueError("all leaf histograms must have the same length")
+        predicted = obj["leaf"]
+        if not _is_int(predicted) or not 0 <= predicted < len(hist):
+            raise ValueError("leaf class must index the histogram")
+        if sum(hist) >= 2**63:
+            raise ValueError("histogram counts must total less than 2**63")
+        if predicted != int(np.argmax(np.array(hist, dtype=np.int64))):
+            raise ValueError("leaf class must be the majority of its histogram")
 
 
 def _tree_from_json(top, num_attributes: int) -> TreeNode:
