@@ -12,10 +12,22 @@ from cstree.data import Dataset
 from cstree.evaluation import (
     CostBreakdown,
     average_cost,
+    average_costs,
     average_reduction_ratio,
     reduction_ratio,
+    routed_costs,
 )
-from cstree.tree import DecisionTree, TreeNode, build_tree, deserialize, serialize
+from cstree.pruning import post_prune
+from cstree.tree import (
+    DecisionTree,
+    TreeNode,
+    build_tree,
+    check_training_rows,
+    deserialize,
+    pruned_route,
+    route,
+    serialize,
+)
 
 
 class TestCostBreakdown:
@@ -184,6 +196,27 @@ class TestAverageCostOracle:
         got = average_cost(leaf, ds, tc, mc)
         assert got.test_cost_total == 0.0
         self.assert_matches(leaf, ds.take(rng.permutation(len(ds))), tc, mc)
+
+
+class TestPrunedRoute:
+    """One routing of a grown tree serves its pruned tree: each pruned
+    leaf gets the rows of the grown leaves below the node it replaced."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_routing_the_pruned_tree(self, seed):
+        rng = np.random.default_rng(seed)
+        ds = support.random_dataset(rng, max_rows=200, min_rows=30)
+        tc = TestCostVector(tuple(rng.uniform(0.1, 9.9, ds.num_attributes)))
+        mc = support.random_matrix(rng, ds.num_classes)
+        tree = deserialize(serialize(build_tree(ds, tc, float(rng.choice([-3.0, 0.0])), 1)))
+        leaves = check_training_rows(tree, ds)
+        pruned, _ = post_prune(tree, tc, mc, bool(rng.integers(2)))
+        got = pruned_route(leaves, tree, pruned)
+        want = next(route([pruned], ds))
+        assert [(leaf, path) for leaf, path, _ in got] == [(leaf, path) for leaf, path, _ in want]
+        for (_, _, a), (_, _, b) in zip(got, want):
+            assert np.array_equal(np.sort(a), np.sort(b))
+        assert routed_costs([leaves, got], ds, tc, mc) == average_costs([tree, pruned], ds, tc, mc)
 
 
 class TestReductionRatio:
